@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -17,8 +16,9 @@ from . import enumerator as enum_mod
 from . import extremal as extremal_mod
 from . import matroid as matroid_mod
 from . import zeta as zeta_mod
-from .code import CapacityError, ParseError, dual_code, parse_code, weight_distribution
-from .exactmath import UniPoly, format_poly
+from .analysis import CodeAnalysis
+from .code import CapacityError, ParseError, WeightDistribution, parse_code
+from .exactmath import format_poly
 from .gf import FieldError
 
 
@@ -42,9 +42,8 @@ def _ratfun(f, vars=("x", "y")):
     return {"num": _bi(f.num, vars), "den": _bi(f.den, vars)}
 
 
-def cmd_weights(C):
-    wd = weight_distribution(C)
-    dual_wd = weight_distribution(dual_code(C))
+def cmd_weights(an):
+    C, wd = an.code, an.wd
     report = {
         "q": C.q,
         "n": C.n,
@@ -52,23 +51,16 @@ def cmd_weights(C):
         "d": wd.d,
         "d_dual": wd.d_dual,
         "counts": [str(c) for c in wd.counts],
-        "dual_counts": [str(c) for c in dual_wd.counts],
+        "dual_counts": [str(c) for c in an.wd_dual.counts],
     }
     return report, True
 
 
-def cmd_zeta(C):
-    wd = weight_distribution(C)
-    a = enum_mod.normalize(wd)
-    P = zeta_mod.zeta_from_normalized(a, k=wd.k, d_dual=wd.d_dual)
-    P1 = zeta_mod.zeta_from_enumerator_def1(wd)
+def cmd_zeta(an):
+    C, wd, P, P1 = an.code, an.wd, an.P, an.P_def1
     routes_agree = P.P == P1.P
-    dual_wd = weight_distribution(dual_code(C))
-    Pd = zeta_mod.zeta_from_normalized(
-        enum_mod.normalize(dual_wd), k=dual_wd.k, d_dual=dual_wd.d_dual
-    )
-    functional = zeta_mod.check_functional_eq(P, Pd)
-    abound = zeta_mod.a_coefficient_bound(P, a.a_list)
+    functional = zeta_mod.check_functional_eq(P, an.P_dual)
+    abound = zeta_mod.a_coefficient_bound(P, an.norm.a_list)
     nondegenerate = wd.d >= 2 and wd.d_dual >= 2
     report = {
         "P": _uni(P.P),
@@ -97,42 +89,35 @@ def cmd_zeta(C):
     return report, ok
 
 
-def cmd_rankgen(C):
-    W = matroid_mod.rank_gen_poly(C)
-    Wn = matroid_mod.normalized_rank_gen(C)
-    Wp = matroid_mod.wn_plus(Wn)
+def cmd_rankgen(an):
+    W, Wn = an.W, an.Wn
     report = {
         "W": _bi(W.W),
         "Wn": _bi(Wn.Wn),
-        "Wn_plus": _ratfun(Wp),
+        "Wn_plus": _ratfun(an.Wn_plus),
         "W_at_11": str(W.W.eval(1, 1)),
     }
-    return report, W.W.eval(1, 1) == 2**C.n
+    return report, W.W.eval(1, 1) == 2**an.code.n
 
 
-def cmd_greene(C):
-    wd = weight_distribution(C)
-    W = matroid_mod.rank_gen_poly(C)
-    Wn = matroid_mod.normalized_rank_gen(C)
-    plain = matroid_mod.check_greene(wd, W)
-    normalized = matroid_mod.check_greene_normalized(wd, Wn)
+def cmd_greene(an):
+    wd = an.wd
+    plain = matroid_mod.check_greene(wd, an.W)
+    normalized = matroid_mod.check_greene_normalized(wd, an.Wn)
     report = {"greene": plain, "greene_normalized": normalized}
     return report, plain and normalized
 
 
-def cmd_twovar(C):
-    wd = weight_distribution(C)
-    Wn = matroid_mod.normalized_rank_gen(C)
-    g = C.n + 1 - C.k - wd.d
+def cmd_twovar(an):
+    C = an.code
+    g = C.n + 1 - C.k - an.wd.d
     report = {}
     try:
-        Z = zeta_mod.two_var_zeta(matroid_mod.wn_plus(Wn), C.k, C.n, g)
+        Z = zeta_mod.two_var_zeta(an.Wn_plus, C.k, C.n, g)
     except zeta_mod.StructuralError as exc:
         report["error"] = str(exc)
         return report, False
-    a = enum_mod.normalize(wd)
-    P = zeta_mod.zeta_from_normalized(a, k=wd.k, d_dual=wd.d_dual)
-    compat = zeta_mod.check_two_var_compat(Z, P)
+    compat = zeta_mod.check_two_var_compat(Z, an.P)
     report.update(
         {
             "Z": _ratfun(Z.value, vars=("T", "u")),
@@ -144,13 +129,11 @@ def cmd_twovar(C):
     return report, compat
 
 
-def cmd_bounds(C):
-    wd = weight_distribution(C)
-    dual_wd = weight_distribution(dual_code(C))
-    report = bounds_mod.check_bounds(wd, dual_wd)
-    a = enum_mod.normalize(wd)
+def cmd_bounds(an):
+    C, wd = an.code, an.wd
+    report = bounds_mod.check_bounds(wd, an.wd_dual)
     c = report["c"]
-    h = bounds_mod.h_poly(a, c, wd.d_dual)
+    h = bounds_mod.h_poly(an.norm, c, wd.d_dual)
     audit = bounds_mod.zero_count_audit(
         h, bounds_mod.proof_zero_bound(C.n, wd.d, c), c, C.n
     )
@@ -170,13 +153,11 @@ def cmd_bounds(C):
     return report, ok
 
 
-def cmd_clifford(C, args):
+def cmd_clifford(an, args):
     if args.sample is not None:
-        report = matroid_mod.clifford_check(
-            C, mode="sample", count=args.sample, seed=args.seed
-        )
+        report = an.clifford(mode="sample", count=args.sample, seed=args.seed)
     else:
-        report = matroid_mod.clifford_check(C, mode="exhaustive")
+        report = an.clifford(mode="exhaustive")
     return report, report["ok"]
 
 
@@ -196,8 +177,6 @@ def cmd_extremal(args):
     if args.ultraspherical:
         if not enum.unique:
             return report, False
-        from .code import WeightDistribution
-
         wd = WeightDistribution(
             q=enum.q, n=enum.n, k=enum.n // 2, counts=enum.counts,
             d=enum.d, d_dual=enum.d,
@@ -221,7 +200,7 @@ def cmd_extremal(args):
     return report, ok
 
 
-def cmd_report(C, args):
+def cmd_report(an, args):
     full = {}
     ok = True
     for name, fn in (
@@ -232,10 +211,10 @@ def cmd_report(C, args):
         ("twovar", cmd_twovar),
         ("bounds", cmd_bounds),
     ):
-        sub, sub_ok = fn(C)
+        sub, sub_ok = fn(an)
         full[name] = sub
         ok = ok and sub_ok
-    sub, sub_ok = cmd_clifford(C, args)
+    sub, sub_ok = cmd_clifford(an, args)
     full["clifford"] = sub
     ok = ok and sub_ok
     return full, ok
@@ -276,6 +255,18 @@ def _flat(value):
     return str(value)
 
 
+FILE_COMMANDS = {
+    "weights": cmd_weights,
+    "zeta": cmd_zeta,
+    "rankgen": cmd_rankgen,
+    "greene": cmd_greene,
+    "twovar": cmd_twovar,
+    "bounds": cmd_bounds,
+    "clifford": cmd_clifford,
+    "report": cmd_report,
+}
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="codezeta",
@@ -313,36 +304,17 @@ def run(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
-    threads = os.environ.get("CODEZETA_THREADS")
-    if threads is not None:
-        try:
-            if int(threads) < 0:
-                raise ValueError
-        except ValueError:
-            print("CODEZETA_THREADS must be a nonnegative integer", file=sys.stderr)
-            return 2
     try:
         if args.command == "extremal":
             report, ok = cmd_extremal(args)
         else:
             with open(args.file) as fh:
                 C = parse_code(fh.read())
-            if args.command == "weights":
-                report, ok = cmd_weights(C)
-            elif args.command == "zeta":
-                report, ok = cmd_zeta(C)
-            elif args.command == "rankgen":
-                report, ok = cmd_rankgen(C)
-            elif args.command == "greene":
-                report, ok = cmd_greene(C)
-            elif args.command == "twovar":
-                report, ok = cmd_twovar(C)
-            elif args.command == "bounds":
-                report, ok = cmd_bounds(C)
-            elif args.command == "clifford":
-                report, ok = cmd_clifford(C, args)
+            an = CodeAnalysis(C)
+            if args.command in ("clifford", "report"):
+                report, ok = FILE_COMMANDS[args.command](an, args)
             else:
-                report, ok = cmd_report(C, args)
+                report, ok = FILE_COMMANDS[args.command](an)
     except (ParseError, CapacityError, FieldError, OSError, ValueError,
             extremal_mod.InfeasibleError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 
 from .gf import FieldSpec, field_new
 
@@ -42,6 +42,23 @@ class WeightDistribution:
     counts: tuple  # A_0 .. A_n
     d: int
     d_dual: int
+    # the dual code's A_0 .. A_n, when known
+    dual_counts: tuple = dataclass_field(default=None, compare=False)
+
+    def dual(self):
+        """Weight distribution of the [n, n-k] dual code."""
+        dual_counts = self.dual_counts
+        if dual_counts is None:
+            dual_counts = tuple(macwilliams_counts(self.q, self.n, self.k, self.counts))
+        return WeightDistribution(
+            q=self.q,
+            n=self.n,
+            k=self.n - self.k,
+            counts=dual_counts,
+            d=_min_weight(dual_counts),
+            d_dual=_min_weight(self.counts),
+            dual_counts=self.counts,
+        )
 
 
 def parse_code(text):
@@ -195,11 +212,13 @@ def macwilliams_counts(q, n, k, counts):
     return out
 
 
-def weight_distribution(C):
-    """Exact weight distribution of C (and of its dual, for d_dual).
+def weight_distribution(C, dual=None):
+    """Exact weight distribution of C, with its dual's counts kept on the
+    result.
 
     Enumerates whichever of C and its dual is smaller and transforms to get
-    the other side; enumeration is guarded at 2^28 words.
+    the other side; enumeration is guarded at 2^28 words. `dual` is C's dual
+    code when the caller already has it.
     """
     q, n, k = C.q, C.n, C.k
     side = min(k, n - k)
@@ -211,7 +230,7 @@ def weight_distribution(C):
         counts = _enumerate_counts(C)
         dual_counts = macwilliams_counts(q, n, k, counts)
     else:
-        dual_counts = _enumerate_counts(dual_code(C))
+        dual_counts = _enumerate_counts(dual if dual is not None else dual_code(C))
         counts = macwilliams_counts(q, n, n - k, dual_counts)
     return WeightDistribution(
         q=q,
@@ -220,6 +239,7 @@ def weight_distribution(C):
         counts=tuple(counts),
         d=_min_weight(counts),
         d_dual=_min_weight(dual_counts),
+        dual_counts=tuple(dual_counts),
     )
 
 

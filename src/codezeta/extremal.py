@@ -8,8 +8,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-import numpy as np
-
 from .bounds import MALLOWS_SLOANE
 from .exactmath import UniPoly, solve_linear
 
@@ -179,6 +177,8 @@ def critical_circle_radii(P):
     """Moduli of the complex roots of P, by double-precision companion-matrix
     numerics. The identity checks elsewhere stay exact; only the root radii
     are floating point."""
+    import numpy as np  # imported here: numpy is the slowest part of start-up
+
     if P.P.degree < 1:
         raise ValueError("need deg P >= 1 to have roots")
     coeffs = [float(c) for c in reversed(P.P.coeffs)]

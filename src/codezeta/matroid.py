@@ -5,6 +5,7 @@ plain and normalized form, and the Clifford-property analysis."""
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -38,27 +39,47 @@ class NormalizedRankGen:
     k: int
 
 
-def _corank_nullity_counts(C):
-    """counts[(size, rank)] = number of column subsets of that size and rank."""
+@dataclass(frozen=True)
+class SubsetRankTable:
+    """What one pass over the 2^n column subsets leaves behind."""
+
+    counts: dict  # (size, rank) -> number of column subsets
+    low_masks: array  # subsets with 2 r(A) <= |A|, in DFS order
+    low_ranks: array  # their ranks
+
+
+def subset_rank_table(C):
+    """Count the column subsets by (size, rank) in one DFS pass, and keep the
+    subsets with 2 r(A) <= |A|, the only ones the Clifford check reports."""
     counts = {}
-    for _, size, rank in iter_subset_ranks(C):
+    low_masks = array("Q")
+    low_ranks = array("B")
+    for mask, size, rank in iter_subset_ranks(C):
         key = (size, rank)
         counts[key] = counts.get(key, 0) + 1
-    return counts
+        if 2 * rank <= size:
+            low_masks.append(mask)
+            low_ranks.append(rank)
+    return SubsetRankTable(counts=counts, low_masks=low_masks, low_ranks=low_ranks)
 
 
-def rank_gen_poly(C):
-    counts = _corank_nullity_counts(C)
+def rank_gen_poly(C, table=None):
+    """W(x, y); `table` is C's subset_rank_table when the caller has it."""
+    if table is None:
+        table = subset_rank_table(C)
     terms = {}
-    for (size, rank), m in counts.items():
+    for (size, rank), m in table.counts.items():
         key = (C.k - rank, size - rank)
         terms[key] = terms.get(key, 0) + m
     return RankGenPoly(W=BiPoly(terms), n=C.n, k=C.k)
 
 
-def normalized_rank_gen(C):
+def normalized_rank_gen(C, table=None):
+    """W_n(x, y); `table` is C's subset_rank_table when the caller has it."""
+    if table is None:
+        table = subset_rank_table(C)
     counts = {}
-    for (size, rank), m in _corank_nullity_counts(C).items():
+    for (size, rank), m in table.counts.items():
         key = (C.k - rank, size - rank)
         counts[key] = counts.get(key, Fraction(0)) + Fraction(m, comb(C.n, size))
     return NormalizedRankGen(Wn=BiPoly(counts), n=C.n, k=C.k)
@@ -200,49 +221,60 @@ def _support_subcode(C, inside):
     return words
 
 
-def _classify(C):
-    dual = dual_code(C) if C.k < C.n else None
-    if dual is None:
-        return "other", None
+def dual_relation(C, dual):
+    """'self-dual' or 'contains-dual' when C equals or contains its dual,
+    else None."""
     if row_space_equal(C, dual):
-        return "self-dual", dual
+        return "self-dual"
     if contains_code(C, dual):
-        return "contains-dual", dual
+        return "contains-dual"
+    return None
+
+
+def _classify(C):
+    if C.k == C.n:
+        return "other"
+    relation = dual_relation(C, dual_code(C))
+    if relation:
+        return relation
     wd = weight_distribution(C)
-    wd_dual = weight_distribution(dual)
-    if wd.counts == wd_dual.counts:
-        return "formally-self-dual", dual
-    return "other", dual
+    return "formally-self-dual" if wd.counts == wd.dual_counts else "other"
 
 
-def clifford_check(C, mode="exhaustive", count=1000, seed=0):
+def clifford_check(C, mode="exhaustive", count=1000, seed=0, *,
+                   classification=None, table=None):
     """Check 2 r(A) >= |A| over column subsets A and report the findings.
 
     For codes containing their dual the inequality must hold everywhere;
     for a self-dual code every proper equality witness must split the code as
     a direct sum of self-dual codes supported on A and on its complement.
+    `classification` and `table` (C's subset_rank_table) are computed when
+    not given.
     """
-    classification, _ = _classify(C)
-    violations = []
-    witnesses = []
-    checked = 0
+    if classification is None:
+        classification = _classify(C)
     if mode == "exhaustive":
-        subsets = iter_subset_ranks(C)
+        if table is None:
+            table = subset_rank_table(C)
+        checked = sum(table.counts.values())
+        subsets = zip(table.low_masks, table.low_ranks)
     elif mode == "sample":
         rng = random.Random(seed)
+        checked = max(count, 0)
 
         def sampled():
             for _ in range(count):
                 mask = rng.getrandbits(C.n)
-                cols = [j for j in range(C.n) if mask >> j & 1]
-                yield mask, len(cols), subset_rank(C, cols)
+                yield mask, subset_rank(C, _mask_cols(mask, C.n))
 
         subsets = sampled()
     else:
         raise ValueError("mode must be 'exhaustive' or 'sample'")
+    violations = []
+    witnesses = []
     full_mask = (1 << C.n) - 1
-    for mask, size, rank in subsets:
-        checked += 1
+    for mask, rank in subsets:
+        size = mask.bit_count()
         if 2 * rank < size:
             violations.append(
                 {"subset": _mask_cols(mask, C.n), "size": size, "rank": rank}

@@ -1,13 +1,10 @@
 import random
-from functools import cached_property
 from pathlib import Path
 
 import pytest
 
-from codezeta import enumerator as enum_mod
-from codezeta import matroid as matroid_mod
-from codezeta import zeta as zeta_mod
-from codezeta.code import LinearCode, dual_code, parse_code, weight_distribution
+from codezeta.analysis import CodeAnalysis
+from codezeta.code import LinearCode, parse_code
 from codezeta.gf import field_new
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -64,52 +61,8 @@ def selfdual105():
     return LinearCode(field=field_new(2), n=10, k=5, generator=gen)
 
 
-class CorpusEntry:
-    """A random nondegenerate code plus lazily computed derived objects."""
-
-    def __init__(self, code):
-        self.code = code
-
-    @cached_property
-    def wd(self):
-        return weight_distribution(self.code)
-
-    @cached_property
-    def dual(self):
-        return dual_code(self.code)
-
-    @cached_property
-    def wd_dual(self):
-        return weight_distribution(self.dual)
-
-    @cached_property
-    def norm(self):
-        return enum_mod.normalize(self.wd)
-
-    @cached_property
-    def P(self):
-        return zeta_mod.zeta_from_normalized(
-            self.norm, k=self.code.k, d_dual=self.wd.d_dual
-        )
-
-    @cached_property
-    def P_dual(self):
-        return zeta_mod.zeta_from_normalized(
-            enum_mod.normalize(self.wd_dual),
-            k=self.dual.k,
-            d_dual=self.wd_dual.d_dual,
-        )
-
-    @cached_property
-    def W(self):
-        return matroid_mod.rank_gen_poly(self.code)
-
-    @cached_property
-    def Wn(self):
-        return matroid_mod.normalized_rank_gen(self.code)
-
-
-def random_nondegenerate_code(rng, q, n, k):
+def random_nondegenerate_analysis(rng, q, n, k):
+    """The CodeAnalysis of a seeded random code with d, d_dual >= 2."""
     field = field_new(q)
     while True:
         rows = [
@@ -119,21 +72,20 @@ def random_nondegenerate_code(rng, q, n, k):
             )
             for i in range(k)
         ]
-        code = LinearCode(field=field, n=n, k=k, generator=tuple(rows))
-        wd = weight_distribution(code)
-        if wd.d >= 2 and wd.d_dual >= 2:
-            return code
+        an = CodeAnalysis(LinearCode(field=field, n=n, k=k, generator=tuple(rows)))
+        if an.wd.d >= 2 and an.wd.d_dual >= 2:
+            return an
 
 
 @pytest.fixture(scope="session")
 def corpus():
-    """>= 60 seeded random nondegenerate codes, q in {2,3,4}, n <= 12."""
+    """Analyses of >= 60 seeded random nondegenerate codes, q in {2,3,4}, n <= 12."""
     rng = random.Random(1729)
     entries = []
     for q in (2, 3, 4):
         for _ in range(22):
             n = rng.randrange(6, 13)
             k = rng.randrange(2, n - 1)
-            entries.append(CorpusEntry(random_nondegenerate_code(rng, q, n, k)))
+            entries.append(random_nondegenerate_analysis(rng, q, n, k))
     assert len(entries) >= 60
     return entries

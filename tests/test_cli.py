@@ -100,14 +100,6 @@ def test_usage_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_threads_env_validation(monkeypatch, capsys):
-    monkeypatch.setenv("CODEZETA_THREADS", "potato")
-    assert run(["weights", HAMMING]) == 2
-    monkeypatch.setenv("CODEZETA_THREADS", "2")
-    assert run(["weights", HAMMING]) == 0
-    capsys.readouterr()
-
-
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "codezeta.cli", "--json", "weights", HAMMING],
