@@ -3,9 +3,12 @@ distributions, subset ranks and MDS fixtures."""
 
 from __future__ import annotations
 
-import itertools
 import math
+import operator
+from collections import Counter
 from dataclasses import dataclass, field as dataclass_field
+from functools import cached_property
+from itertools import repeat
 
 from .gf import FieldSpec, field_new
 
@@ -32,6 +35,14 @@ class LinearCode:
     @property
     def q(self):
         return self.field.q
+
+    @cached_property
+    def _packed_columns(self):
+        # for q = 2: column j as a k-bit int, bit i from row i
+        return tuple(
+            sum(row[j] << i for i, row in enumerate(self.generator))
+            for j in range(self.n)
+        )
 
 
 @dataclass(frozen=True)
@@ -156,29 +167,133 @@ def dual_code(C):
     return LinearCode(field=field, n=C.n, k=C.n - C.k, generator=tuple(basis))
 
 
+# Largest low-part table the enumeration keeps, in words.
+_TABLE_WORDS = 1 << 12
+
+
+class _PackedVectors:
+    """Vectors of GF(q)^n packed into one int, for the enumeration kernel.
+
+    Position j is the lane of `width` bits at bit j * width. An element
+    sum c_d x^d (encoded sum c_d p^d) holds digit c_d at bit d * digit of its
+    lane. GF(q) addition is digit-wise mod p: XOR for p = 2; for odd p one
+    add, then p taken off the digits that reached p, which the carry mask
+    finds. The top bit of a lane is never set in a packed vector (a spare bit
+    for q = 4, 8; the top bit of a digit below p for odd p), nor in the XOR
+    of two, so `(x + low) & high` marks the nonzero lanes of such an x. A
+    1-bit lane (q = 2) is its own mark.
+    """
+
+    def __init__(self, field, n):
+        p, m = field.p, field.m
+        self.p = p
+        if p == 2:
+            self.digit = 1
+            self.width = m if m == 1 else m + 1
+        else:
+            self.digit = (2 * p - 2).bit_length()
+            self.width = m * self.digit
+        ones_lane = ((1 << n * self.width) - 1) // ((1 << self.width) - 1)
+        self.low = ones_lane * ((1 << self.width - 1) - 1)
+        self.high = ones_lane << self.width - 1
+        ones_digit = ones_lane * sum(1 << d * self.digit for d in range(m))
+        self.carry_add = ones_digit * ((1 << self.digit - 1) - p)
+        self.carry_mask = ones_digit << self.digit - 1
+        self.code = [
+            sum((v // p**d % p) << d * self.digit for d in range(m))
+            for v in range(field.q)
+        ]
+
+    def pack(self, row):
+        code, width = self.code, self.width
+        return sum(code[v] << j * width for j, v in enumerate(row))
+
+    def _reduce(self, s):
+        # every digit of s lies in [0, 2p - 2]; take p off those >= p
+        return s - ((s + self.carry_add & self.carry_mask) >> self.digit - 1) * self.p
+
+    def add(self, a, b):
+        return a ^ b if self.p == 2 else self._reduce(a + b)
+
+    def add_all(self, words, v):
+        """[w + v for w in words]."""
+        if self.p == 2:
+            return list(map(operator.xor, words, repeat(v)))
+        return list(map(self._reduce, map(operator.add, words, repeat(v))))
+
+    def tally(self, counter, offset, words):
+        """Count the weights of offset + w over a subspace of words.
+
+        The subspace holds -w with w, so offset - w has the same weights;
+        its position j is zero exactly when the lanes of offset and w are
+        equal, that is when the lane of offset XOR w is zero.
+        """
+        diffs = map(operator.xor, words, repeat(offset))
+        if self.width > 1:
+            diffs = map(
+                operator.and_, map(operator.add, diffs, repeat(self.low)), repeat(self.high)
+            )
+        counter.update(map(int.bit_count, diffs))
+
+
+def _gray_walk(start, gens, vec):
+    """start plus every Z_p-combination of gens, one addition per step.
+
+    Step s adds gens[j], where p^j is the largest power of p dividing s: a
+    modular Gray code, which meets every combination once."""
+    p = vec.p
+    word = start
+    yield word
+    for step in range(1, p ** len(gens)):
+        j = 0
+        while step % p == 0:
+            step //= p
+            j += 1
+        word = vec.add(word, gens[j])
+        yield word
+
+
 def _enumerate_counts(C):
+    """A_0 .. A_n of C, enumerating its codewords as packed ints.
+
+    As a Z_p-module C is spanned by x^d g_i (d < m). Only the messages whose
+    first nonzero coefficient is 1 are visited, since the q - 1 multiples of
+    a word share its weight: for leading row i, the words g_i + span(rows
+    after i). That span is split into a table over the last t rows (at most
+    _TABLE_WORDS words, built once) and a Gray-code walk over the rows in
+    between, so memory does not grow with q^k.
+    """
     field, q, n, k = C.field, C.q, C.n, C.k
-    counts = [0] * (n + 1)
-    mul = field.mul_table
-    add = field.add_table
-    # pre-scale every generator row by every nonzero coefficient
-    scaled = [
-        [None] + [tuple(mul[c][v] for v in row) for c in range(1, q)]
+    vec = _PackedVectors(field, n)
+    gens = [
+        [vec.pack([field.mul_table[field.p**d][v] for v in row]) for d in range(field.m)]
         for row in C.generator
     ]
-    for msg in itertools.product(range(q), repeat=k):
-        acc = None
-        for i, mi in enumerate(msg):
-            if mi:
-                row = scaled[i][mi]
-                if acc is None:
-                    acc = list(row)
-                else:
-                    acc = [add[a][b] for a, b in zip(acc, row)]
-        if acc is None:
-            counts[0] += 1
+    t = 0
+    while t < k - 1 and q ** (t + 1) <= _TABLE_WORDS:
+        t += 1
+    # table[:q^r] spans the last r rows, for every r <= t
+    table = [0]
+    for row in reversed(gens[k - t:]):
+        for g in row:
+            layer, multiple = [], g
+            for _ in range(vec.p - 1):
+                layer += vec.add_all(table, multiple)
+                multiple = vec.add(multiple, g)
+            table += layer
+    tally = Counter()
+    for i in range(k):
+        rest = k - 1 - i
+        if rest <= t:
+            vec.tally(tally, gens[i][0], table[: q**rest])
         else:
-            counts[sum(1 for v in acc if v)] += 1
+            middle = [g for row in gens[i + 1 : k - t] for g in row]
+            for offset in _gray_walk(gens[i][0], middle, vec):
+                vec.tally(tally, offset, table)
+    counts = [0] * (n + 1)
+    counts[0] = 1
+    for w, c in tally.items():
+        counts[w] += c * (q - 1)
     return counts
 
 
@@ -258,8 +373,23 @@ def _reduce_column(field, basis, vec):
     return basis + ((pivot, cur),), True
 
 
-def subset_rank(C, cols):
-    """Rank of the generator columns indexed by cols (0-based)."""
+def _binary_rank(columns, cols):
+    """Rank over GF(2) of the packed columns indexed by cols, in an XOR
+    basis keyed by leading bit."""
+    basis = {}
+    for j in cols:
+        x = columns[j]
+        while x:
+            lead = x.bit_length()
+            b = basis.get(lead)
+            if b is None:
+                basis[lead] = x
+                break
+            x ^= b
+    return len(basis)
+
+
+def _generic_rank(C, cols):
     field = C.field
     basis = ()
     for j in cols:
@@ -268,12 +398,38 @@ def subset_rank(C, cols):
     return len(basis)
 
 
-def iter_subset_ranks(C):
-    """Yield (mask, size, rank) for every subset of columns, by DFS with an
-    incrementally maintained echelon basis. 2^n subsets; guarded at n <= 22."""
+def subset_rank(C, cols):
+    """Rank of the generator columns indexed by cols (0-based)."""
+    if C.q == 2:
+        return _binary_rank(C._packed_columns, cols)
+    return _generic_rank(C, cols)
+
+
+def _binary_subset_ranks(columns, k):
+    # the generic DFS below on packed columns; a basis is a tuple of
+    # (pivot bit, vector) with distinct pivots, each vector clear at the
+    # pivots before it
+    n = len(columns)
+    stack = [(0, 0, 0, ())]
+    pop, push = stack.pop, stack.append
+    while stack:
+        j, mask, size, basis = pop()
+        if j == n:
+            yield mask, size, len(basis)
+            continue
+        push((j + 1, mask, size, basis))
+        if len(basis) < k:
+            x = columns[j]
+            for pivot, v in basis:
+                if x & pivot:
+                    x ^= v
+            if x:
+                basis += ((x & -x, x),)
+        push((j + 1, mask | 1 << j, size + 1, basis))
+
+
+def _generic_subset_ranks(C):
     n = C.n
-    if n > SUBSET_N_MAX:
-        raise CapacityError(f"subset enumeration guarded at n <= {SUBSET_N_MAX}")
     field = C.field
     columns = [tuple(row[j] for row in C.generator) for j in range(n)]
     stack = [(0, 0, 0, ())]
@@ -285,6 +441,18 @@ def iter_subset_ranks(C):
         stack.append((j + 1, mask, size, basis))
         nb, _ = _reduce_column(field, basis, columns[j])
         stack.append((j + 1, mask | (1 << j), size + 1, nb))
+
+
+def iter_subset_ranks(C):
+    """Yield (mask, size, rank) for every subset of columns, by DFS with an
+    incrementally maintained echelon basis (including column j before
+    leaving it out). 2^n subsets; guarded at n <= 22."""
+    if C.n > SUBSET_N_MAX:
+        raise CapacityError(f"subset enumeration guarded at n <= {SUBSET_N_MAX}")
+    if C.q == 2:
+        yield from _binary_subset_ranks(C._packed_columns, C.k)
+    else:
+        yield from _generic_subset_ranks(C)
 
 
 def make_mds_code(q, n, k):

@@ -22,7 +22,7 @@ from .code import (
     subset_rank,
     weight_distribution,
 )
-from .exactmath import BiPoly, RatFun, UniPoly
+from .exactmath import BiPoly, RatFun
 
 
 @dataclass(frozen=True)
@@ -124,9 +124,26 @@ def check_greene(A, W):
     return predicted == actual
 
 
-def _normalized_enum_poly(A):
-    # A_n(1, t) = sum A_i / C(n, i) t^i
-    return UniPoly([Fraction(A.counts[i], comb(A.n, i)) for i in range(A.n + 1)])
+def _normalized_counts(A):
+    # the coefficients A_i / C(n, i) of A_n(1, t)
+    return [Fraction(A.counts[i], comb(A.n, i)) for i in range(A.n + 1)]
+
+
+def _greene_groups(Wn, q, n, k):
+    """W_n's monomials c x^a y^b for the normalized identities, grouped by
+    a - b: (t_exp, e, sum of c q^a) with t_exp = a - b + n - k and
+    e = k + b - a, the exponents of t and of (1 + t) (or (s + t)) that the
+    monomial contributes. Both are nonnegative because a <= k, b <= n - k."""
+    scales = {}
+    for (a, b), c in Wn.Wn.terms.items():
+        scales[a - b] = scales.get(a - b, 0) + c * q**a
+    out = []
+    for diff, scale in scales.items():
+        t_exp, e = diff + n - k, k - diff
+        if t_exp < 0 or e < 0:
+            raise ValueError("rank-generating exponent out of range")
+        out.append((t_exp, e, scale))
+    return out
 
 
 def check_greene_normalized(A, Wn):
@@ -134,21 +151,19 @@ def check_greene_normalized(A, Wn):
     A_n(1,t)(1+t)^(n+1) == W_n(qt/(1+t),(1+t)/t)(1+t)^k t^(n-k)  mod t^(n+1).
 
     Each W_n monomial x^a y^b contributes q^a t^(a-b+n-k) (1+t)^(k+b-a); both
-    exponents are nonnegative because a <= k and b <= n-k.
+    sides are compared as their n + 1 lowest coefficients, with the powers of
+    (1+t) read off the binomial coefficients.
     """
     n, k, q = Wn.n, Wn.k, A.q
     if n != A.n:
         raise ValueError("distribution and rank-generating lengths differ")
-    one_plus_t = UniPoly([1, 1])
-    lhs = (_normalized_enum_poly(A) * one_plus_t ** (n + 1)).truncated(n)
-    rhs = UniPoly()
-    for (a, b), c in Wn.Wn.terms.items():
-        t_exp = a - b + n - k
-        e = k + b - a
-        if t_exp < 0 or e < 0:
-            raise ValueError("rank-generating exponent out of range")
-        rhs = rhs + (one_plus_t**e).shift(t_exp) * (c * Fraction(q) ** a)
-    return lhs == rhs.truncated(n)
+    an = _normalized_counts(A)
+    lhs = [sum(an[i] * comb(n + 1, m - i) for i in range(m + 1)) for m in range(n + 1)]
+    rhs = [Fraction(0)] * (n + 1)
+    for t_exp, e, scale in _greene_groups(Wn, q, n, k):
+        for j in range(min(e, n - t_exp) + 1):
+            rhs[t_exp + j] += scale * comb(e, j)
+    return lhs == rhs
 
 
 def greene_normalized_symmetric(A, Wn):
@@ -156,28 +171,26 @@ def greene_normalized_symmetric(A, Wn):
     same W_n on both sides (binary self-complementary case):
 
     A_n(s,t)(s+t)^(n+1) ==  W_n-part(t-side) + W_n-part(s-side).
+
+    The t-side is sum q^a s^(n+1) t^(a-b+n-k) (s+t)^(k+b-a) over the W_n
+    monomials; the s-side is its mirror image, s and t swapped.
     """
     n, k, q = A.n, A.k, A.q
-    s_plus_t = BiPoly({(1, 0): 1, (0, 1): 1})
-    an = BiPoly(
-        {(n - i, i): Fraction(A.counts[i], comb(n, i)) for i in range(n + 1)}
-    )
-    lhs = an * s_plus_t ** (n + 1)
-
-    def side(swap):
-        out = BiPoly()
-        for (a, b), c in Wn.Wn.terms.items():
-            t_exp = a - b + n - k
-            spt = s_plus_t ** (k + b - a)
-            mono = (
-                BiPoly.monomial(n + 1, t_exp)
-                if not swap
-                else BiPoly.monomial(t_exp, n + 1)
-            )
-            out = out + spt * mono * (c * Fraction(q) ** a)
-        return out
-
-    return lhs == side(swap=False) + side(swap=True)
+    an = _normalized_counts(A)
+    lhs = {}
+    for i, c in enumerate(an):
+        for j in range(n + 2):
+            key = (2 * n + 1 - i - j, i + j)
+            lhs[key] = lhs.get(key, 0) + c * comb(n + 1, j)
+    side = {}
+    for t_exp, e, scale in _greene_groups(Wn, q, n, k):
+        for j in range(e + 1):
+            key = (n + 1 + e - j, t_exp + j)
+            side[key] = side.get(key, 0) + scale * comb(e, j)
+    rhs = dict(side)
+    for (s_exp, t_exp), c in side.items():
+        rhs[t_exp, s_exp] = rhs.get((t_exp, s_exp), 0) + c
+    return BiPoly(lhs) == BiPoly(rhs)
 
 
 def puncture_shorten_wn(Wn, which):

@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import codezeta
 from codezeta.cli import run
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -101,10 +103,14 @@ def test_usage_errors(tmp_path, capsys):
 
 
 def test_console_entry_point():
+    # the child imports the same codezeta as the tests, installed or not
+    package_root = str(Path(codezeta.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "codezeta.cli", "--json", "weights", HAMMING],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["d"] == 3

@@ -15,7 +15,7 @@ from codezeta.code import (
     subset_rank,
     weight_distribution,
 )
-from codezeta.gf import field_new
+from codezeta.gf import SUPPORTED_Q, field_new
 
 
 def test_parse_repetition():
@@ -118,7 +118,7 @@ def test_macwilliams_counts_rejects_invalid():
 
 def test_direct_vs_macwilliams_route():
     rng = random.Random(5)
-    for q in (2, 3):
+    for q in SUPPORTED_Q:
         f = field_new(q)
         for _ in range(5):
             n = rng.randrange(4, 10)

@@ -74,6 +74,23 @@ def test_greene_symmetric_self_complementary(ext_hamming84, selfdual105, corpus)
         assert greene_normalized_symmetric(wd, normalized_rank_gen(code))
 
 
+def test_normalized_greene_rejects_a_changed_term(ext_hamming84):
+    from fractions import Fraction
+
+    from codezeta.exactmath import BiPoly
+    from codezeta.matroid import NormalizedRankGen, normalized_rank_gen
+
+    wd = weight_distribution(ext_hamming84)
+    Wn = normalized_rank_gen(ext_hamming84)
+    assert check_greene_normalized(wd, Wn) and greene_normalized_symmetric(wd, Wn)
+    for key in Wn.Wn.terms:
+        terms = dict(Wn.Wn.terms)
+        terms[key] += Fraction(1, 3)
+        changed = NormalizedRankGen(Wn=BiPoly(terms), n=Wn.n, k=Wn.k)
+        assert not check_greene_normalized(wd, changed)
+        assert not greene_normalized_symmetric(wd, changed)
+
+
 def test_puncture_shorten_wn_match_averaged_ops(corpus):
     for entry in corpus[:15]:
         wd = entry.wd
