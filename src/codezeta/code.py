@@ -298,29 +298,38 @@ def _enumerate_counts(C):
 
 
 def _min_weight(counts):
-    n = len(counts) - 1
-    for i in range(1, n + 1):
-        if counts[i]:
-            return i
-    return n + 1  # no nonzero word (k = 0)
+    """The least i >= 1 with counts[i] nonzero, else len(counts) (no nonzero
+    word)."""
+    return next((i for i in range(1, len(counts)) if counts[i]), len(counts))
+
+
+def _krawtchouk(q, n):
+    """Rows K_0 .. K_n of Krawtchouk values, K_j[i] = K_j(i) =
+    sum_s (-1)^s (q-1)^(j-s) C(i, s) C(n-i, j-s), by the three-term recurrence
+    (j+1) K_{j+1}(i) = [(q-1)(n-j) + j - q i] K_j(i) - (q-1)(n-j+1) K_{j-1}(i),
+    in O(n^2) integer steps."""
+    prev, cur = [0] * (n + 1), [1] * (n + 1)
+    rows = [cur]
+    for j in range(n):
+        a, b = (q - 1) * (n - j) + j, (q - 1) * (n - j + 1)
+        prev, cur = cur, [
+            ((a - q * i) * c - b * p) // (j + 1)
+            for i, (c, p) in enumerate(zip(cur, prev))
+        ]
+        rows.append(cur)
+    return rows
 
 
 def macwilliams_counts(q, n, k, counts):
-    """Dual weight distribution via the MacWilliams transform on counts."""
+    """Dual weight distribution via the MacWilliams transform on counts:
+    the Krawtchouk table times the counts, over q^k."""
     size = q**k
+    support = [(i, a) for i, a in enumerate(counts) if a]
     out = []
-    for j in range(n + 1):
-        acc = 0
-        for i, ai in enumerate(counts):
-            if ai:
-                kraw = sum(
-                    (-1) ** s * (q - 1) ** (j - s) * math.comb(i, s) * math.comb(n - i, j - s)
-                    for s in range(max(0, j - (n - i)), min(i, j) + 1)
-                )
-                acc += ai * kraw
-        if acc % size:
+    for row in _krawtchouk(q, n):
+        acc, rem = divmod(sum(a * row[i] for i, a in support), size)
+        if rem:
             raise ValueError("MacWilliams transform produced a non-integral count")
-        acc //= size
         if acc < 0:
             raise ValueError("MacWilliams transform produced a negative count")
         out.append(acc)
@@ -470,15 +479,6 @@ def make_mds_code(q, n, k):
         rows.append(tuple(current))
         current = [field.mul(c, x) for c, x in zip(current, points)]
     return LinearCode(field=field, n=n, k=k, generator=tuple(rows))
-
-
-def row_space_equal(A, B):
-    """Whether two codes over the same field span the same row space."""
-    if A.n != B.n or A.k != B.k or A.q != B.q:
-        return False
-    _, ra, _ = rref_rank(A.field, A.generator)
-    _, rb, _ = rref_rank(B.field, B.generator)
-    return ra[: A.k] == rb[: B.k]
 
 
 def contains_code(A, B):

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .code import WeightDistribution, macwilliams_counts
+from .code import WeightDistribution, _min_weight, macwilliams_counts
 from .exactmath import TruncatedSeries, UniPoly
 
 
@@ -37,10 +37,7 @@ class AveragedDistribution:
 
     @property
     def d(self):
-        for i in range(1, self.n + 1):
-            if self.counts[i]:
-                return i
-        return self.n + 1
+        return _min_weight(self.counts)
 
 
 def macwilliams(A):
@@ -49,15 +46,15 @@ def macwilliams(A):
         counts = macwilliams_counts(A.q, A.n, A.k, A.counts)
     except ValueError as exc:
         raise InvalidDistributionError(str(exc)) from None
-    d = next((i for i in range(1, A.n + 1) if counts[i]), A.n + 1)
     return WeightDistribution(
-        q=A.q, n=A.n, k=A.n - A.k, counts=tuple(counts), d=d, d_dual=A.d
+        q=A.q, n=A.n, k=A.n - A.k, counts=tuple(counts),
+        d=_min_weight(counts), d_dual=A.d,
     )
 
 
 def normalize_counts(q, n, counts):
     a_list = [Fraction(counts[w]) / comb(n, w) for w in range(n + 1)]
-    d = next((i for i in range(1, n + 1) if a_list[i]), n + 1)
+    d = _min_weight(a_list)
     if d > n:
         raise ValueError("no nonzero weight to normalize")
     a_poly = UniPoly([a_list[d + j] / (q - 1) for j in range(n - d + 1)])

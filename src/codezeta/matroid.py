@@ -18,7 +18,6 @@ from .code import (
     dual_code,
     iter_subset_ranks,
     nullspace,
-    row_space_equal,
     subset_rank,
     weight_distribution,
 )
@@ -105,16 +104,7 @@ def greene_weight_enumerator(W, q):
     Passing q^e instead of q predicts the enumerator of the same generator
     matrix read over the degree-e extension field.
     """
-    n, k = W.n, W.k
-    x_minus_y = BiPoly({(1, 0): 1, (0, 1): -1})
-    xmy_pow = [BiPoly.const(1)]
-    for _ in range(n):
-        xmy_pow.append(xmy_pow[-1] * x_minus_y)
-    out = BiPoly()
-    for (cor, nul), c in W.W.terms.items():
-        term = xmy_pow[k - cor + nul] * BiPoly.monomial(0, cor - nul + n - k)
-        out = out + term * (c * Fraction(q) ** cor)
-    return out
+    return BiPoly(_greene_terms(W.W.terms, q, W.n, W.k, -1))
 
 
 def check_greene(A, W):
@@ -129,20 +119,26 @@ def _normalized_counts(A):
     return [Fraction(A.counts[i], comb(A.n, i)) for i in range(A.n + 1)]
 
 
-def _greene_groups(Wn, q, n, k):
-    """W_n's monomials c x^a y^b for the normalized identities, grouped by
-    a - b: (t_exp, e, sum of c q^a) with t_exp = a - b + n - k and
-    e = k + b - a, the exponents of t and of (1 + t) (or (s + t)) that the
-    monomial contributes. Both are nonnegative because a <= k, b <= n - k."""
+def _greene_terms(terms, q, n, k, sign):
+    """The Greene substitution of rank-generating monomials c x^a y^b:
+    {(x_exp, y_exp): coeff} of sum c q^a (x + sign y)^(k+b-a) y^(a-b+n-k).
+
+    Plain Greene takes sign = -1; the normalized identities take sign = +1
+    with x = 1 or x = s. The monomials are grouped by a - b and each power of
+    (x + sign y) is read off the binomial coefficients. Both exponents are
+    nonnegative because a <= k and b <= n - k, so every term has degree n.
+    """
     scales = {}
-    for (a, b), c in Wn.Wn.terms.items():
+    for (a, b), c in terms.items():
         scales[a - b] = scales.get(a - b, 0) + c * q**a
-    out = []
+    out = {}
     for diff, scale in scales.items():
-        t_exp, e = diff + n - k, k - diff
-        if t_exp < 0 or e < 0:
+        y_exp, e = diff + n - k, k - diff
+        if y_exp < 0 or e < 0:
             raise ValueError("rank-generating exponent out of range")
-        out.append((t_exp, e, scale))
+        for j in range(e + 1):
+            key = (e - j, y_exp + j)
+            out[key] = out.get(key, 0) + scale * sign**j * comb(e, j)
     return out
 
 
@@ -150,9 +146,9 @@ def check_greene_normalized(A, Wn):
     """The normalized congruence
     A_n(1,t)(1+t)^(n+1) == W_n(qt/(1+t),(1+t)/t)(1+t)^k t^(n-k)  mod t^(n+1).
 
-    Each W_n monomial x^a y^b contributes q^a t^(a-b+n-k) (1+t)^(k+b-a); both
-    sides are compared as their n + 1 lowest coefficients, with the powers of
-    (1+t) read off the binomial coefficients.
+    Each W_n monomial x^a y^b contributes q^a t^(a-b+n-k) (1+t)^(k+b-a), a
+    polynomial of degree n in t; both sides are compared as their n + 1
+    lowest coefficients.
     """
     n, k, q = Wn.n, Wn.k, A.q
     if n != A.n:
@@ -160,9 +156,8 @@ def check_greene_normalized(A, Wn):
     an = _normalized_counts(A)
     lhs = [sum(an[i] * comb(n + 1, m - i) for i in range(m + 1)) for m in range(n + 1)]
     rhs = [Fraction(0)] * (n + 1)
-    for t_exp, e, scale in _greene_groups(Wn, q, n, k):
-        for j in range(min(e, n - t_exp) + 1):
-            rhs[t_exp + j] += scale * comb(e, j)
+    for (_, t_exp), c in _greene_terms(Wn.Wn.terms, q, n, k, 1).items():
+        rhs[t_exp] += c
     return lhs == rhs
 
 
@@ -182,11 +177,10 @@ def greene_normalized_symmetric(A, Wn):
         for j in range(n + 2):
             key = (2 * n + 1 - i - j, i + j)
             lhs[key] = lhs.get(key, 0) + c * comb(n + 1, j)
-    side = {}
-    for t_exp, e, scale in _greene_groups(Wn, q, n, k):
-        for j in range(e + 1):
-            key = (n + 1 + e - j, t_exp + j)
-            side[key] = side.get(key, 0) + scale * comb(e, j)
+    side = {
+        (n + 1 + s_exp, t_exp): c
+        for (s_exp, t_exp), c in _greene_terms(Wn.Wn.terms, q, n, k, 1).items()
+    }
     rhs = dict(side)
     for (s_exp, t_exp), c in side.items():
         rhs[t_exp, s_exp] = rhs.get((t_exp, s_exp), 0) + c
@@ -236,12 +230,11 @@ def _support_subcode(C, inside):
 
 def dual_relation(C, dual):
     """'self-dual' or 'contains-dual' when C equals or contains its dual,
-    else None."""
-    if row_space_equal(C, dual):
-        return "self-dual"
-    if contains_code(C, dual):
-        return "contains-dual"
-    return None
+    else None. One elimination decides both: C contains its dual, and equals
+    it exactly when the two dimensions agree (2k = n)."""
+    if not contains_code(C, dual):
+        return None
+    return "self-dual" if C.k == dual.k else "contains-dual"
 
 
 def _classify(C):

@@ -3,10 +3,12 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 import codezeta
+from codezeta import extremal as extremal_mod
 from codezeta.cli import run
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -80,6 +82,14 @@ def test_extremal_command(capsys):
     assert report["ultraspherical"]["holds"]
     assert report["ultraspherical"]["lambda"] == "1/140"
     assert report["ultraspherical"]["on_critical_circle"]
+
+
+def test_extremal_over_the_guard_exits_2(capsys):
+    n = (extremal_mod.EXTREMAL_N_MAX // 8 + 1) * 8
+    unused = mock.Mock(side_effect=AssertionError("the guard must come first"))
+    with mock.patch.object(extremal_mod, "solve_linear", unused):
+        assert run(["extremal", "--q", "2", "--c", "4", "--n", str(n)]) == 2
+    assert "guarded at n <=" in capsys.readouterr().err
 
 
 def test_report_command(capsys):

@@ -1,11 +1,14 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
-from codezeta.code import WeightDistribution, weight_distribution
+from codezeta import extremal as extremal_mod
+from codezeta.code import CapacityError, WeightDistribution, weight_distribution
 from codezeta.enumerator import normalize
 from codezeta.exactmath import UniPoly
 from codezeta.extremal import (
+    EXTREMAL_N_MAX,
     check_ultraspherical,
     critical_circle_radii,
     extremal_sd_enumerator,
@@ -51,6 +54,17 @@ def test_extremal_rejects_bad_parameters():
         extremal_sd_enumerator(5, 2, 6)
     with pytest.raises(ValueError):
         extremal_sd_enumerator(2, 4, 12)  # Type II needs 8 | n
+
+
+def test_extremal_capacity_guard():
+    n = (EXTREMAL_N_MAX // 24 + 1) * 24  # a valid length for every type
+    unused = mock.Mock(side_effect=AssertionError("the guard must come first"))
+    with mock.patch.object(extremal_mod, "_krawtchouk", unused), \
+            mock.patch.object(extremal_mod, "solve_linear", unused):
+        for q, c in ((2, 2), (2, 4), (3, 3), (4, 2)):
+            with pytest.raises(CapacityError):
+                extremal_sd_enumerator(q, c, n)
+    assert EXTREMAL_N_MAX >= 96
 
 
 def test_gegenbauer_low_degrees():

@@ -1,0 +1,92 @@
+"""The shared formulas of `codezeta` against plain references: the
+Krawtchouk table behind MacWilliams and the extremal systems, the MacWilliams
+transform, and the Greene substitution."""
+
+import random
+
+import pytest
+
+import reference
+from codezeta.code import (
+    LinearCode,
+    _krawtchouk,
+    macwilliams_counts,
+    rref_rank,
+)
+from codezeta.gf import SUPPORTED_Q, field_new
+from codezeta.matroid import greene_weight_enumerator, rank_gen_poly
+
+
+@pytest.mark.parametrize("q", SUPPORTED_Q)
+def test_krawtchouk_table_matches_the_direct_sum(q):
+    for n in [*range(41), 96]:
+        assert _krawtchouk(q, n) == [
+            [reference.krawtchouk(q, n, j, i) for i in range(n + 1)]
+            for j in range(n + 1)
+        ]
+
+
+def _random_code(rng, q, n, k):
+    field = field_new(q)
+    while True:
+        rows = [tuple(rng.randrange(q) for _ in range(n)) for _ in range(k)]
+        if rref_rank(field, rows)[0] == k:
+            return LinearCode(field=field, n=n, k=k, generator=tuple(rows))
+
+
+def _expected_transform(q, n, k, counts):
+    """The reference transform, or the message macwilliams_counts raises:
+    the first bad count decides, non-integral before negative."""
+    out = reference.macwilliams(q, n, k, counts)
+    for v in out:
+        if v.denominator != 1:
+            return "non-integral"
+        if v < 0:
+            return "negative"
+    return out
+
+
+@pytest.mark.parametrize("q", SUPPORTED_Q)
+def test_macwilliams_counts_matches_the_reference(q):
+    rng = random.Random(q)
+    vectors = []
+    for _ in range(6):  # weight distributions of codes: integral duals
+        n = rng.randrange(1, 9)
+        k = rng.randrange(1, n + 1)
+        if q**k <= 1 << 12:
+            C = _random_code(rng, q, n, k)
+            vectors.append((n, k, reference.enumerate_counts(C)))
+    for _ in range(12):  # random integral vectors, some scaled by q^k
+        n = rng.randrange(1, 25)
+        k = rng.randrange(0, n + 1)
+        scale = q**k if rng.random() < 0.5 else 1
+        counts = [1] + [scale * rng.randrange(0, 4) for _ in range(n)]
+        vectors.append((n, k, counts))
+    outcomes = set()
+    for n, k, counts in vectors:
+        expected = _expected_transform(q, n, k, counts)
+        if isinstance(expected, str):
+            with pytest.raises(ValueError, match=expected):
+                macwilliams_counts(q, n, k, counts)
+            outcomes.add(expected)
+        else:
+            assert macwilliams_counts(q, n, k, counts) == expected
+            outcomes.add("valid")
+    assert "valid" in outcomes and len(outcomes) >= 2
+
+
+def _assert_greene_matches_reference(W, q):
+    for Q in (q, q**2, q**3):
+        assert greene_weight_enumerator(W, Q) == reference.greene_weight_enumerator(W, Q)
+
+
+def test_greene_matches_the_reference_on_the_fixtures(
+    hamming74, ext_hamming84, hexacode63, code10, rep2, pair22, selfdual105
+):
+    for C in (hamming74, ext_hamming84, hexacode63, code10, rep2, pair22, selfdual105):
+        _assert_greene_matches_reference(rank_gen_poly(C), C.q)
+
+
+def test_greene_matches_the_reference_on_the_corpus(corpus):
+    for an in corpus:
+        _assert_greene_matches_reference(an.W, an.code.q)

@@ -3,7 +3,9 @@ import pytest
 from codezeta.code import (
     CapacityError,
     LinearCode,
+    dual_code,
     parse_code,
+    rref_rank,
     weight_distribution,
 )
 from codezeta.enumerator import puncture_avg, shorten_avg
@@ -13,6 +15,7 @@ from codezeta.matroid import (
     check_greene,
     check_greene_normalized,
     clifford_check,
+    dual_relation,
     find_two_disjoint_bases,
     greene_normalized_symmetric,
     greene_weight_enumerator,
@@ -165,3 +168,38 @@ def test_find_two_disjoint_bases_capacity_guard():
     C = LinearCode(field=f, n=n, k=k, generator=gen)
     with pytest.raises(CapacityError):
         find_two_disjoint_bases(C)
+
+
+def test_dual_relation_fixtures(
+    ext_hamming84, hexacode63, pair22, rep2, selfdual105, hamming74, code10
+):
+    # the hexacode equals its Hermitian dual, not its Euclidean one
+    expected = [
+        (ext_hamming84, "self-dual"),
+        (pair22, "self-dual"),
+        (rep2, "self-dual"),
+        (selfdual105, "self-dual"),
+        (hamming74, "contains-dual"),
+        (hexacode63, None),
+        (code10, None),
+    ]
+    for C, relation in expected:
+        assert dual_relation(C, dual_code(C)) == relation
+
+
+def test_dual_relation_matches_two_eliminations(corpus):
+    """Against row-space equality by comparing reduced echelon forms, and
+    containment by the rank of the stacked generators."""
+    seen = set()
+    for an in corpus:
+        C, D = an.code, an.dual
+        same_rref = rref_rank(C.field, C.generator)[1] == rref_rank(D.field, D.generator)[1]
+        if C.k == D.k and same_rref:
+            expected = "self-dual"
+        elif rref_rank(C.field, C.generator + D.generator)[0] == C.k:
+            expected = "contains-dual"
+        else:
+            expected = None
+        assert dual_relation(C, D) == expected
+        seen.add(expected)
+    assert None in seen
