@@ -1,4 +1,4 @@
-"""Extremal self-dual weight enumerators by exact linear algebra, the
+"""Extremal self-dual weight enumerators from Gleason's theorem, the
 ultraspherical (Gegenbauer) recurrence, and the zero-location check putting
 all zeta roots of the quaternary-even extremal family on |T| = 1/2."""
 
@@ -8,18 +8,27 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bounds import MALLOWS_SLOANE
-from .code import CapacityError, _krawtchouk, _min_weight
-from .exactmath import UniPoly, solve_linear
+from .code import CapacityError
+from .exactmath import UniPoly
 
 
-# Largest length the extremal synthesis accepts. The cost grows about as
-# n^3.3; Type IV, the slowest, takes about 59 s at n = 336 (2-vCPU Xeon VM,
-# Python 3.11).
-EXTREMAL_N_MAX = 336
+# Largest length the extremal command accepts. With --ultraspherical the
+# zeta and Gegenbauer checks dominate; Type IV, the slowest, takes 52 s at
+# n = 936 and 63 s at n = 960 (2-vCPU Xeon VM, Python 3.11).
+EXTREMAL_N_MAX = 936
+
+# Gleason's generators f, g of each type's invariant ring at x = 1, as integer
+# lists in z = y^c, and l = deg g / deg f (deg f is the MALLOWS_SLOANE modulus).
+_GLEASON = {
+    "I": ([1, 1], [0, 1, -2, 1], 4),  # x^2+y^2, x^2y^2(x^2-y^2)^2
+    "II": ([1, 14, 1], [0, 1, -4, 6, -4, 1], 3),  # x^8+14x^4y^4+y^8, x^4y^4(x^4-y^4)^4
+    "III": ([1, 8], [0, 1, -3, 3, -1], 3),  # x^4+8xy^3, y^3(x^3-y^3)^3
+    "IV": ([1, 3], [0, 1, -2, 1], 3),  # x^2+3y^2, y^2(x^2-y^2)^2
+}
 
 
 class InfeasibleError(RuntimeError):
-    pass
+    """No self-dual enumerator for the parameters; the Gleason synthesis always finds one."""
 
 
 @dataclass(frozen=True)
@@ -42,73 +51,65 @@ class GegenbauerPoly:
 
 
 def _type_for(q, c):
-    for name, (tq, tc, mod, bound) in MALLOWS_SLOANE.items():
+    for name, (tq, tc, mod, _) in MALLOWS_SLOANE.items():
         if (q, c) == (tq, tc):
-            return name, mod, bound
+            return name, mod
     raise ValueError(f"unsupported (q, c) pair ({q}, {c})")
 
 
-def _solve_self_dual(q, c, n, d, kraw):
-    """Impose A_0 = 1, divisibility-by-c support, minimum distance d, and
-    MacWilliams self-invariance with k = n/2 as a rational linear system;
-    `kraw` is the Krawtchouk table of (q, n)."""
-    support = [0] + [i for i in range(d, n + 1) if i % c == 0]
-    size = Fraction(q) ** (n // 2)
-    matrix = []
-    rhs = []
-    for j, values in enumerate(kraw):
-        row = [Fraction(values[i]) for i in support]
-        if j in support:
-            row[support.index(j)] -= size
-        matrix.append(row)
-        rhs.append(Fraction(0))
-    matrix.append([Fraction(1)] + [Fraction(0)] * (len(support) - 1))
-    rhs.append(Fraction(1))
-    sol, _, nullity = solve_linear(matrix, rhs)
-    return support, sol, nullity
+def _times(p, h):
+    """p * h, truncated to len(p) coefficients."""
+    out = [0] * len(p)
+    for k, hk in enumerate(h):
+        if hk:
+            out[k:] = [o + hk * v for o, v in zip(out[k:], p)]
+    return out
+
+
+def _gleason_synthesis(name, n):
+    """(d, A_0 .. A_n) of the Type `name` enumerator with A_0 = 1 and
+    A_c = ... = A_{d-c} = 0, unguarded. Gleason's basis in degree n is
+    P_0 = f^(n/deg f), P_{j+1} = P_j g / f^l (exact) for j < m = n // deg g.
+    Each P_j = z^j + ..., so the a_j of W = sum_j a_j P_j follow by integer
+    forward substitution, and d = c(m+1) is the Mallows-Sloane bound."""
+    _, c, mod, _ = MALLOWS_SLOANE[name]
+    f, g, ell = _GLEASON[name]
+    f_ell = [1]
+    for _ in range(ell):
+        f_ell = _times(f_ell + [0] * (len(f) - 1), f)
+    p = [1] + [0] * (n // c)
+    for _ in range(n // mod):
+        p = _times(p, f)
+    w = [0] * len(p)
+    m = n // (ell * mod)
+    for j in range(m + 1):
+        if j:
+            p = _times(p, g)
+            for i in range(1, len(p)):  # p /= f^l as a series; f_ell[0] = 1
+                for k in range(1, min(i, len(f_ell) - 1) + 1):
+                    p[i] -= f_ell[k] * p[i - k]
+        a = (j == 0) - w[j]
+        w = [x + a * y for x, y in zip(w, p)]
+    counts = [0] * (n + 1)
+    counts[::c] = w
+    return c * (m + 1), counts
 
 
 def extremal_sd_enumerator(q, c, n):
-    """Largest d (descending from the Mallows-Sloane bound, in steps of c)
-    whose self-dual enumerator system has a unique solution.
-
-    A consistent but underdetermined system at the maximal feasible d is
-    reported as an ambiguity, never resolved silently.
-    """
-    name, mod, bound_fn = _type_for(q, c)
+    """The extremal self-dual enumerator at the Mallows-Sloane bound d. If A_d
+    vanishes, it belongs to a larger-d family, and at d - c one constraint
+    fewer leaves a line of solutions: reported as an ambiguity."""
+    name, mod = _type_for(q, c)
     if n <= 0 or n % mod:
         raise ValueError(f"Type {name} requires n divisible by {mod}")
     if n > EXTREMAL_N_MAX:
         raise CapacityError(f"extremal synthesis guarded at n <= {EXTREMAL_N_MAX}")
-    kraw = _krawtchouk(q, n)
-    d = bound_fn(n)
-    while d >= c:
-        try:
-            support, sol, nullity = _solve_self_dual(q, c, n, d, kraw)
-        except ValueError:
-            d -= c
-            continue
-        if nullity:
-            return ExtremalEnumerator(
-                q=q, c=c, n=n, d=d, counts=None, unique=False,
-                solution_dim=nullity, nonnegative=False,
-            )
-        counts = [Fraction(0)] * (n + 1)
-        for i, v in zip(support, sol):
-            counts[i] = v
-        if _min_weight(counts) != d:
-            d -= c  # the solution degenerates to a larger-d family member
-            continue
-        if any(v.denominator != 1 for v in counts):
-            d -= c
-            continue
-        return ExtremalEnumerator(
-            q=q, c=c, n=n, d=d,
-            counts=tuple(int(v) for v in counts),
-            unique=True, solution_dim=0,
-            nonnegative=all(v >= 0 for v in counts),
-        )
-    raise InfeasibleError(f"no self-dual enumerator found for (q={q}, c={c}, n={n})")
+    d, counts = _gleason_synthesis(name, n)
+    if not counts[d]:
+        return ExtremalEnumerator(q=q, c=c, n=n, d=d - c, counts=None, unique=False,
+                                  solution_dim=1, nonnegative=False)
+    return ExtremalEnumerator(q=q, c=c, n=n, d=d, counts=tuple(counts), unique=True,
+                              solution_dim=0, nonnegative=min(counts) >= 0)
 
 
 def gegenbauer(m, lam):

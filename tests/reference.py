@@ -1,11 +1,13 @@
-"""Plain reference implementations that the kernels and shared formulas of
-`codezeta` are tested against."""
+"""Plain reference implementations that the kernels, the shared formulas
+and the Gleason-basis extremal synthesis of `codezeta` are tested against."""
 
 import itertools
 import math
 from fractions import Fraction
 
-from codezeta.exactmath import BiPoly
+from codezeta.bounds import MALLOWS_SLOANE
+from codezeta.exactmath import BiPoly, solve_linear
+from codezeta.extremal import ExtremalEnumerator, InfeasibleError
 
 
 def enumerate_counts(C):
@@ -65,3 +67,58 @@ def greene_weight_enumerator(W, q):
         term = xmy_pow[k - cor + nul] * BiPoly.monomial(0, cor - nul + n - k)
         out = out + term * (c * Fraction(q) ** cor)
     return out
+
+
+def solve_self_dual(q, c, n, d, kraw):
+    """Impose A_0 = 1, divisibility-by-c support, minimum distance d, and
+    MacWilliams self-invariance with k = n/2 as a rational linear system;
+    `kraw` is the Krawtchouk table of (q, n)."""
+    support = [0] + [i for i in range(d, n + 1) if i % c == 0]
+    size = Fraction(q) ** (n // 2)
+    matrix = []
+    rhs = []
+    for j, values in enumerate(kraw):
+        row = [Fraction(values[i]) for i in support]
+        if j in support:
+            row[support.index(j)] -= size
+        matrix.append(row)
+        rhs.append(Fraction(0))
+    matrix.append([Fraction(1)] + [Fraction(0)] * (len(support) - 1))
+    rhs.append(Fraction(1))
+    sol, _, nullity = solve_linear(matrix, rhs)
+    return support, sol, nullity
+
+
+def extremal_sd_enumerator(q, c, n):
+    """Largest d (descending from the Mallows-Sloane bound, in steps of c)
+    whose overdetermined Krawtchouk system has a unique solution with
+    minimum weight d and integral counts; a consistent but underdetermined
+    system at the maximal feasible d is reported as an ambiguity."""
+    bound = next(b for tq, tc, _, b in MALLOWS_SLOANE.values() if (tq, tc) == (q, c))
+    kraw = [[krawtchouk(q, n, j, i) for i in range(n + 1)] for j in range(n + 1)]
+    d = bound(n)
+    while d >= c:
+        try:
+            support, sol, nullity = solve_self_dual(q, c, n, d, kraw)
+        except ValueError:
+            d -= c
+            continue
+        if nullity:
+            return ExtremalEnumerator(
+                q=q, c=c, n=n, d=d, counts=None, unique=False,
+                solution_dim=nullity, nonnegative=False,
+            )
+        counts = [Fraction(0)] * (n + 1)
+        for i, v in zip(support, sol):
+            counts[i] = v
+        min_weight = next((i for i in range(1, n + 1) if counts[i]), n + 1)
+        if min_weight != d or any(v.denominator != 1 for v in counts):
+            d -= c  # a larger-d family member, or no integral enumerator
+            continue
+        return ExtremalEnumerator(
+            q=q, c=c, n=n, d=d,
+            counts=tuple(int(v) for v in counts),
+            unique=True, solution_dim=0,
+            nonnegative=all(v >= 0 for v in counts),
+        )
+    raise InfeasibleError(f"no self-dual enumerator found for (q={q}, c={c}, n={n})")

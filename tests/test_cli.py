@@ -87,7 +87,7 @@ def test_extremal_command(capsys):
 def test_extremal_over_the_guard_exits_2(capsys):
     n = (extremal_mod.EXTREMAL_N_MAX // 8 + 1) * 8
     unused = mock.Mock(side_effect=AssertionError("the guard must come first"))
-    with mock.patch.object(extremal_mod, "solve_linear", unused):
+    with mock.patch.object(extremal_mod, "_gleason_synthesis", unused):
         assert run(["extremal", "--q", "2", "--c", "4", "--n", str(n)]) == 2
     assert "guarded at n <=" in capsys.readouterr().err
 

@@ -3,7 +3,9 @@ from unittest import mock
 
 import pytest
 
+import reference
 from codezeta import extremal as extremal_mod
+from codezeta.bounds import MALLOWS_SLOANE
 from codezeta.code import CapacityError, WeightDistribution, weight_distribution
 from codezeta.enumerator import normalize
 from codezeta.exactmath import UniPoly
@@ -59,12 +61,54 @@ def test_extremal_rejects_bad_parameters():
 def test_extremal_capacity_guard():
     n = (EXTREMAL_N_MAX // 24 + 1) * 24  # a valid length for every type
     unused = mock.Mock(side_effect=AssertionError("the guard must come first"))
-    with mock.patch.object(extremal_mod, "_krawtchouk", unused), \
-            mock.patch.object(extremal_mod, "solve_linear", unused):
+    with mock.patch.object(extremal_mod, "_gleason_synthesis", unused):
         for q, c in ((2, 2), (2, 4), (3, 3), (4, 2)):
             with pytest.raises(CapacityError):
                 extremal_sd_enumerator(q, c, n)
     assert EXTREMAL_N_MAX >= 96
+
+
+@pytest.mark.parametrize("name", sorted(MALLOWS_SLOANE))
+def test_extremal_matches_the_krawtchouk_reference(name):
+    q, c, mod, _ = MALLOWS_SLOANE[name]
+    for n in range(mod, 49, mod):
+        assert extremal_sd_enumerator(q, c, n) == reference.extremal_sd_enumerator(
+            q, c, n
+        ), n
+
+
+@pytest.mark.parametrize("name", sorted(MALLOWS_SLOANE))
+def test_gleason_generators_are_self_dual_invariants(name):
+    # f and g, made homogeneous of degrees deg f and l * deg f, are fixed by
+    # the MacWilliams transform of a self-dual code of that length
+    q, c, mod, _ = MALLOWS_SLOANE[name]
+    f, g, ell = extremal_mod._GLEASON[name]
+    for coeffs, deg in ((f, mod), (g, ell * mod)):
+        counts = [0] * (deg + 1)
+        for j, v in enumerate(coeffs):
+            counts[c * j] = v
+        assert reference.macwilliams(q, deg, deg // 2, counts) == counts
+
+
+@pytest.mark.parametrize("name", sorted(MALLOWS_SLOANE))
+def test_mallows_sloane_bound_counts_gleason_basis(name):
+    # Gleason: the degree-n invariants have the basis f^i g^j with
+    # i deg f + j deg g = n, and the bound is c times its size
+    q, c, deg_f, bound = MALLOWS_SLOANE[name]
+    deg_g = extremal_mod._GLEASON[name][2] * deg_f
+    for n in range(deg_f, 4001, deg_f):
+        basis = [j for j in range(n // deg_g + 1) if (n - j * deg_g) % deg_f == 0]
+        assert bound(n) == c * len(basis), n
+
+
+def test_zhang_first_negative_type_II_enumerator():
+    # the extremal Type II enumerator first has a negative coefficient at
+    # n = 3696 (Zhang 1999), at weight d + 4; at n = 3672 it has none
+    d, counts = extremal_mod._gleason_synthesis("II", 3696)
+    assert d == 620
+    assert next(i for i, v in enumerate(counts) if v < 0) == d + 4 == 624
+    d, counts = extremal_mod._gleason_synthesis("II", 3672)
+    assert d == 616 and min(counts) >= 0
 
 
 def test_gegenbauer_low_degrees():

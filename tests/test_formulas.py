@@ -1,6 +1,6 @@
 """The shared formulas of `codezeta` against plain references: the
-Krawtchouk table behind MacWilliams and the extremal systems, the MacWilliams
-transform, and the Greene substitution."""
+Krawtchouk table behind MacWilliams, the MacWilliams transform, and the
+Greene substitution."""
 
 import random
 
