@@ -280,8 +280,9 @@ def build_parser():
         p.add_argument("--json", action="store_true", default=argparse.SUPPRESS)
     p = sub.add_parser("clifford")
     p.add_argument("file")
-    p.add_argument("--exhaustive", action="store_true")
-    p.add_argument("--sample", type=int, default=None)
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--exhaustive", action="store_true")
+    mode.add_argument("--sample", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true", default=argparse.SUPPRESS)
     p = sub.add_parser("extremal")
@@ -315,8 +316,7 @@ def run(argv=None):
                 report, ok = FILE_COMMANDS[args.command](an, args)
             else:
                 report, ok = FILE_COMMANDS[args.command](an)
-    except (ParseError, CapacityError, FieldError, OSError, ValueError,
-            extremal_mod.InfeasibleError) as exc:
+    except (ParseError, CapacityError, FieldError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (zeta_mod.CrossCheckError, zeta_mod.StructuralError,

@@ -1,5 +1,5 @@
-"""Weight-enumerator algebra: MacWilliams transform, normalization, averaged
-puncture/shorten operators and the binomially-weighted truncation invariant."""
+"""Weight-enumerator algebra: normalization, averaged puncture/shorten
+operators and the binomially-weighted truncation invariant."""
 
 from __future__ import annotations
 
@@ -7,12 +7,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .code import WeightDistribution, _min_weight, macwilliams_counts
-from .exactmath import TruncatedSeries, UniPoly
-
-
-class InvalidDistributionError(ValueError):
-    pass
+from .code import _min_weight
+from .exactmath import UniPoly
 
 
 @dataclass(frozen=True)
@@ -38,18 +34,6 @@ class AveragedDistribution:
     @property
     def d(self):
         return _min_weight(self.counts)
-
-
-def macwilliams(A):
-    """MacWilliams transform: distribution of the dual [n, n-k] code."""
-    try:
-        counts = macwilliams_counts(A.q, A.n, A.k, A.counts)
-    except ValueError as exc:
-        raise InvalidDistributionError(str(exc)) from None
-    return WeightDistribution(
-        q=A.q, n=A.n, k=A.n - A.k, counts=tuple(counts),
-        d=_min_weight(counts), d_dual=A.d,
-    )
 
 
 def normalize_counts(q, n, counts):

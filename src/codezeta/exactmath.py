@@ -1,32 +1,16 @@
 """Exact rational arithmetic: dense univariate polynomials, sparse bivariate
-polynomials, truncated power series and rational-function pairs.
+polynomials, truncated power series, rational-function pairs and Lagrange
+interpolation.
 
 All coefficients are `fractions.Fraction`; every operation is exact and pure.
-Degrees stay small throughout (codes of length <= ~24), so a dense list in one
-variable and a dict keyed by exponent pairs in two variables are plenty.
+Bivariate polynomials come from codes short enough for subset enumeration
+(n <= 22), so a dict keyed by exponent pairs is plenty. Univariate ones reach
+degree 2n for the extremal lengths up to 936, which a dense list holds.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-
-Rational = Fraction
-
-
-def binomial(a, k):
-    """Generalized binomial a(a-1)...(a-k+1)/k! for any integer a, k >= 0.
-
-    binomial(a, 0) = 1 for every a (empty product), including negative a.
-    """
-    if k < 0:
-        raise ValueError("lower index must be nonnegative")
-    if a >= 0:
-        return math.comb(a, k)
-    num = 1
-    for i in range(k):
-        num *= a - i
-    return num // math.factorial(k)
 
 
 class UniPoly:
@@ -42,14 +26,6 @@ class UniPoly:
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
-
-    @classmethod
-    def const(cls, c):
-        return cls([c])
-
-    @classmethod
-    def monomial(cls, deg, c=1):
-        return cls([0] * deg + [c])
 
     @property
     def degree(self):
@@ -124,19 +100,6 @@ class UniPoly:
             acc = acc * x + c
         return acc
 
-    def compose(self, inner):
-        """Substitute another polynomial for the variable (Horner)."""
-        acc = UniPoly()
-        for c in reversed(self.coeffs):
-            acc = acc * inner + c
-        return acc
-
-    def shift(self, m):
-        """Multiply by t^m."""
-        if self.is_zero():
-            return self
-        return UniPoly((Fraction(0),) * m + self.coeffs)
-
     def truncated(self, order):
         return TruncatedSeries(order, self.coeffs[: order + 1])
 
@@ -176,9 +139,6 @@ class TruncatedSeries:
         self.order = order
         self.coeffs = tuple(cs)
 
-    def coeff(self, i):
-        return self.coeffs[i]
-
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
@@ -187,32 +147,6 @@ class TruncatedSeries:
     def __hash__(self):
         return hash((self.order, self.coeffs))
 
-    def __add__(self, other):
-        order = min(self.order, other.order)
-        return TruncatedSeries(
-            order, [self.coeffs[i] + other.coeffs[i] for i in range(order + 1)]
-        )
-
-    def __sub__(self, other):
-        order = min(self.order, other.order)
-        return TruncatedSeries(
-            order, [self.coeffs[i] - other.coeffs[i] for i in range(order + 1)]
-        )
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return TruncatedSeries(self.order, [c * other for c in self.coeffs])
-        order = min(self.order, other.order)
-        out = [Fraction(0)] * (order + 1)
-        for i in range(order + 1):
-            a = self.coeffs[i]
-            if a:
-                for j in range(order + 1 - i):
-                    out[i + j] += a * other.coeffs[j]
-        return TruncatedSeries(order, out)
-
-    __rmul__ = __mul__
-
     def truncate(self, order):
         if order > self.order:
             raise ValueError("cannot extend a truncated series")
@@ -220,40 +154,6 @@ class TruncatedSeries:
 
     def __repr__(self):
         return f"TruncatedSeries({self.order}, {list(self.coeffs)!r})"
-
-
-def series_quotient(num, den, order):
-    """num/den modulo T^(order+1); den must be invertible, i.e. den(0) != 0."""
-    if den.coeff(0) == 0:
-        raise ZeroDivisionError("denominator has zero constant term")
-    inv0 = 1 / den.coeff(0)
-    out = []
-    for m in range(order + 1):
-        acc = num.coeff(m)
-        for j in range(1, m + 1):
-            dj = den.coeff(j)
-            if dj:
-                acc -= dj * out[m - j]
-        out.append(acc * inv0)
-    return TruncatedSeries(order, out)
-
-
-def mobius_compose(a, order):
-    """Substitute t <- T/(1-T) in a(t), truncated mod T^(order+1).
-
-    Uses T^j (1-T)^(-j) = sum_i C(i+j-1, j-1) T^(i+j).
-    """
-    out = [Fraction(0)] * (order + 1)
-    if not a.is_zero():
-        out[0] = a.coeff(0)
-        for m in range(1, order + 1):
-            acc = Fraction(0)
-            for j in range(1, min(m, a.degree) + 1):
-                aj = a.coeff(j)
-                if aj:
-                    acc += aj * binomial(m - 1, j - 1)
-            out[m] = acc
-    return TruncatedSeries(order, out)
 
 
 class BiPoly:
@@ -366,16 +266,6 @@ class BiPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, e):
-        result = BiPoly.const(1)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
     def eval(self, x, y):
         acc = Fraction(0)
         for (i, j), c in self.terms.items():
@@ -390,11 +280,6 @@ class BiPoly:
             out[i] = out.get(i, Fraction(0)) + c * value**j
         deg = max(out) if out else -1
         return UniPoly([out.get(i, Fraction(0)) for i in range(deg + 1)])
-
-    def max_exp(self, var):
-        if not self.terms:
-            return -1
-        return max(k[var] for k in self.terms)
 
     def sorted_terms(self):
         return sorted(self.terms.items())
@@ -428,44 +313,6 @@ class RatFun:
 def ratfun_equal(f, g):
     """True iff f.num * g.den == g.num * f.den as polynomials."""
     return f.num * g.den == g.num * f.den
-
-
-def solve_linear(matrix, rhs):
-    """Exact Gaussian elimination for matrix . x = rhs over the rationals.
-
-    Returns (solution, rank, nullity). solution is None when the system is
-    consistent but underdetermined. Raises ValueError on inconsistency.
-    """
-    m = len(matrix)
-    ncols = len(matrix[0]) if m else 0
-    rows = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
-    rank = 0
-    pivots = []
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, m) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][col]
-        rows[rank] = [v / pv for v in rows[rank]]
-        for r in range(m):
-            if r != rank and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == m:
-            break
-    for r in range(rank, m):
-        if rows[r][ncols] != 0:
-            raise ValueError("inconsistent linear system")
-    nullity = ncols - rank
-    if nullity:
-        return None, rank, nullity
-    sol = [Fraction(0)] * ncols
-    for r, col in enumerate(pivots):
-        sol[col] = rows[r][ncols]
-    return sol, rank, nullity
 
 
 def interpolate(points):

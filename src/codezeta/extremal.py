@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from .bounds import MALLOWS_SLOANE
 from .code import CapacityError
@@ -13,8 +14,9 @@ from .exactmath import UniPoly
 
 
 # Largest length the extremal command accepts. With --ultraspherical the
-# zeta and Gegenbauer checks dominate; Type IV, the slowest, takes 52 s at
-# n = 936 and 63 s at n = 960 (2-vCPU Xeon VM, Python 3.11).
+# zeta polynomial and the Gegenbauer recurrence dominate; Type IV, the
+# slowest, takes 5 s at n = 936 (2-vCPU Xeon VM, Python 3.11). The limit is
+# not yet derived from measured throughput.
 EXTREMAL_N_MAX = 936
 
 # Gleason's generators f, g of each type's invariant ring at x = 1, as integer
@@ -25,10 +27,6 @@ _GLEASON = {
     "III": ([1, 8], [0, 1, -3, 3, -1], 3),  # x^4+8xy^3, y^3(x^3-y^3)^3
     "IV": ([1, 3], [0, 1, -2, 1], 3),  # x^2+3y^2, y^2(x^2-y^2)^2
 }
-
-
-class InfeasibleError(RuntimeError):
-    """No self-dual enumerator for the parameters; the Gleason synthesis always finds one."""
 
 
 @dataclass(frozen=True)
@@ -144,14 +142,14 @@ def check_ultraspherical(P, m):
             for i in range(2 * max(Q.degree, 0) + 1)
         ]
     )
-    cpoly = gegenbauer(m, m + 1).poly
-    one_plus_t2 = UniPoly([1, 0, 1])
-    rhs_unit = UniPoly()
-    for j, cj in enumerate(cpoly.coeffs):
+    # sum_j c_j 2^-j (1+T^2)^j T^(m-j), reading (1+T^2)^j off the binomials
+    rhs = [Fraction(0)] * (2 * m + 1)
+    for j, cj in enumerate(gegenbauer(m, m + 1).poly.coeffs):
         if cj:
-            rhs_unit = rhs_unit + (one_plus_t2**j).shift(m - j) * (
-                cj * Fraction(1, 2**j)
-            )
+            cj /= 2**j
+            for i in range(j + 1):
+                rhs[m - j + 2 * i] += cj * comb(j, i)
+    rhs_unit = UniPoly(rhs)
     if rhs_unit.is_zero() or lhs.is_zero() or lhs.degree != rhs_unit.degree:
         return Fraction(0), False
     lam = lhs.coeffs[-1] / rhs_unit.coeffs[-1]

@@ -7,15 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .exactmath import (
-    BiPoly,
-    RatFun,
-    UniPoly,
-    mobius_compose,
-    ratfun_equal,
-    series_quotient,
-    solve_linear,
-)
+from .exactmath import BiPoly, RatFun, UniPoly, ratfun_equal
 
 
 class CrossCheckError(RuntimeError):
@@ -67,21 +59,21 @@ def _infer_k(a):
 
 
 def zeta_from_normalized(a, k=None, d_dual=None):
-    """Solve Definition-2 style: P(T)(1-T)^d/(1-qT) == a(T/(1-T)) mod T^(n-d+1).
+    """Definition-2 style: P(T) = a(T/(1-T)) (1-qT)/(1-T)^d mod T^(n-d+1).
 
-    The system is triangular in p_0..p_{n-d} because the series
-    S(T) = (1-T)^d/(1-qT) has S(0) = 1.
+    T^j (1-T)^-(j+d) = sum_i C(i+j+d-1, i) T^(i+j), so s_m, the T^m
+    coefficient of a(T/(1-T))/(1-T)^d, is sum_j alpha_j C(m+d-1, m-j) with
+    alpha_j the t^j coefficient of a(t), and p_m = s_m - q s_(m-1).
     """
     n, d, q = a.n, a.d, a.q
-    order = n - d
-    target = mobius_compose(a.a_poly, order)
-    s = series_quotient(UniPoly([1, -1]) ** d, UniPoly([1, -q]), order)
+    alpha = a.a_poly.coeffs
     p = []
-    for m in range(order + 1):
-        acc = target.coeff(m)
-        for j in range(m):
-            acc -= p[j] * s.coeff(m - j)
-        p.append(acc)
+    prev = 0
+    for m in range(n - d + 1):
+        s = sum(aj * comb(m + d - 1, m - j)
+                for j, aj in enumerate(alpha[: m + 1]) if aj)
+        p.append(s - q * prev)
+        prev = s
     P = UniPoly(p)
     if k is None:
         k = _infer_k(a)
@@ -92,40 +84,33 @@ def zeta_from_normalized(a, k=None, d_dual=None):
 
 def _geom(q, j):
     # coefficient of T^j in 1/((1-T)(1-qT)), i.e. (q^(j+1)-1)/(q-1)
-    if j < 0:
-        return 0
     return (q ** (j + 1) - 1) // (q - 1)
 
 
 def zeta_from_enumerator_def1(A):
     """Solve the original definition directly: for every monomial x^(n-i) y^i,
     the T^(n-d) coefficient of P(T)/((1-T)(1-qT)) (y+(x-y)T)^n must equal
-    A_i/(q-1). Full bivariate route; used as an independent verifier."""
+    A_i/(q-1). Row i of this system in p_0 .. p_(n-d) has entries only at
+    l <= i-d, with C(n, i) at l = i-d, so rows d..n are solved by forward
+    substitution and rows 1..d-1 demand A_i = 0. Full bivariate route; used
+    as an independent verifier."""
     q, n, d = A.q, A.n, A.d
-    nun = n - d + 1
-    matrix = []
-    rhs = []
-    for i in range(n + 1):
-        row = []
-        for l in range(nun):
-            acc = 0
-            for m in range(n - i, n + 1):
-                gj = _geom(q, n - d - m - l)
-                if gj:
-                    acc += comb(n, m) * comb(m, n - i) * (-1) ** (m - (n - i)) * gj
-            row.append(Fraction(acc))
-        matrix.append(row)
-        rhs.append(Fraction(A.counts[i], q - 1) if i > 0 else Fraction(0))
-    try:
-        sol, _, nullity = solve_linear(matrix, rhs)
-    except ValueError:
+    if any(A.counts[1:d]):
         raise CrossCheckError(
             "weight distribution is inconsistent with the direct zeta definition"
-        ) from None
-    if nullity:
-        raise CrossCheckError("direct zeta definition is underdetermined")
+        )
+    p = []
+    for i in range(d, n + 1):
+        acc = Fraction(A.counts[i], q - 1)
+        for l, pl in enumerate(p):
+            acc -= pl * sum(
+                (-1) ** (m - n + i) * comb(n, m) * comb(m, n - i)
+                * _geom(q, n - d - m - l)
+                for m in range(n - i, n - d - l + 1)
+            )
+        p.append(acc / comb(n, i))
     return ZetaPolynomial(
-        P=UniPoly(sol), q=q, n=n, k=A.k, d=d, d_dual=A.d_dual
+        P=UniPoly(p), q=q, n=n, k=A.k, d=d, d_dual=A.d_dual
     )
 
 

@@ -1,13 +1,148 @@
-"""Plain reference implementations that the kernels, the shared formulas
-and the Gleason-basis extremal synthesis of `codezeta` are tested against."""
+"""Plain reference implementations that the kernels, the shared formulas,
+the Gleason-basis extremal synthesis and the closed-form zeta and
+ultraspherical constructions of `codezeta` are tested against."""
 
 import itertools
 import math
 from fractions import Fraction
 
 from codezeta.bounds import MALLOWS_SLOANE
-from codezeta.exactmath import BiPoly, solve_linear
-from codezeta.extremal import ExtremalEnumerator, InfeasibleError
+from codezeta.exactmath import BiPoly, UniPoly
+from codezeta.extremal import ExtremalEnumerator, gegenbauer
+
+
+class InfeasibleError(RuntimeError):
+    """No self-dual enumerator passes the descending-d search."""
+
+
+def solve_linear(matrix, rhs):
+    """Exact Gaussian elimination for matrix . x = rhs over the rationals.
+
+    Returns (solution, rank, nullity). solution is None when the system is
+    consistent but underdetermined. Raises ValueError on inconsistency.
+    """
+    m = len(matrix)
+    ncols = len(matrix[0]) if m else 0
+    rows = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
+    rank = 0
+    pivots = []
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, m) if rows[r][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        pv = rows[rank][col]
+        rows[rank] = [v / pv for v in rows[rank]]
+        for r in range(m):
+            if r != rank and rows[r][col] != 0:
+                factor = rows[r][col]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+        pivots.append(col)
+        rank += 1
+        if rank == m:
+            break
+    for r in range(rank, m):
+        if rows[r][ncols] != 0:
+            raise ValueError("inconsistent linear system")
+    nullity = ncols - rank
+    if nullity:
+        return None, rank, nullity
+    sol = [Fraction(0)] * ncols
+    for r, col in enumerate(pivots):
+        sol[col] = rows[r][ncols]
+    return sol, rank, nullity
+
+
+def series_quotient(num, den, order):
+    """The coefficients of num/den modulo T^(order+1), for UniPoly num and
+    den with den(0) != 0."""
+    if den.coeff(0) == 0:
+        raise ZeroDivisionError("denominator has zero constant term")
+    inv0 = 1 / den.coeff(0)
+    out = []
+    for m in range(order + 1):
+        acc = num.coeff(m)
+        for j in range(1, m + 1):
+            dj = den.coeff(j)
+            if dj:
+                acc -= dj * out[m - j]
+        out.append(acc * inv0)
+    return out
+
+
+def mobius_compose(a, order):
+    """The coefficients of a(T/(1-T)) modulo T^(order+1), from
+    T^j (1-T)^(-j) = sum_i C(i+j-1, j-1) T^(i+j)."""
+    out = [Fraction(0)] * (order + 1)
+    if not a.is_zero():
+        out[0] = a.coeff(0)
+        for m in range(1, order + 1):
+            out[m] = sum(
+                (a.coeff(j) * math.comb(m - 1, j - 1)
+                 for j in range(1, min(m, a.degree) + 1)),
+                Fraction(0),
+            )
+    return out
+
+
+def zeta_from_normalized(a):
+    """P(T) from P(T)(1-T)^d/(1-qT) = a(T/(1-T)) mod T^(n-d+1), solved as a
+    triangular system in p_0 .. p_(n-d) against the series (1-T)^d/(1-qT)."""
+    order = a.n - a.d
+    target = mobius_compose(a.a_poly, order)
+    s = series_quotient(UniPoly([1, -1]) ** a.d, UniPoly([1, -a.q]), order)
+    p = []
+    for m in range(order + 1):
+        p.append(target[m] - sum((p[j] * s[m - j] for j in range(m)), Fraction(0)))
+    return UniPoly(p)
+
+
+def zeta_from_enumerator_def1(A):
+    """P(T) from the full (n+1) x (n-d+1) system of the original definition
+    (the T^(n-d) coefficient of P(T)/((1-T)(1-qT)) (y+(x-y)T)^n at x^(n-i) y^i
+    is A_i/(q-1)), by Gaussian elimination; None if it is not uniquely
+    solvable."""
+    q, n, d = A.q, A.n, A.d
+    matrix = []
+    rhs = []
+    for i in range(n + 1):
+        row = []
+        for l in range(n - d + 1):
+            acc = 0
+            for m in range(n - i, n + 1):
+                j = n - d - m - l
+                if j >= 0:
+                    acc += (math.comb(n, m) * math.comb(m, n - i) * (-1) ** (m - n + i)
+                            * ((q ** (j + 1) - 1) // (q - 1)))
+            row.append(acc)
+        matrix.append(row)
+        rhs.append(Fraction(A.counts[i], q - 1) if i > 0 else 0)
+    try:
+        sol, _, nullity = solve_linear(matrix, rhs)
+    except ValueError:
+        return None
+    return None if nullity else UniPoly(sol)
+
+
+def check_ultraspherical(P, m):
+    """(lambda, holds) for Q(T^2/2) = lambda C_m^{m+1}((1/T + T)/2) T^m with
+    Q = P(1+2T), raising 1 + T^2 to each power j by repeated squaring."""
+    Q = P.P * UniPoly([1, 2])
+    lhs = UniPoly(
+        [
+            Q.coeff(i // 2) * Fraction(1, 2 ** (i // 2)) if i % 2 == 0 else 0
+            for i in range(2 * max(Q.degree, 0) + 1)
+        ]
+    )
+    rhs = UniPoly()
+    for j, cj in enumerate(gegenbauer(m, m + 1).poly.coeffs):
+        if cj:
+            t_power = UniPoly([0] * (m - j) + [1])
+            rhs = rhs + UniPoly([1, 0, 1]) ** j * t_power * (cj * Fraction(1, 2**j))
+    if rhs.is_zero() or lhs.is_zero() or lhs.degree != rhs.degree:
+        return Fraction(0), False
+    lam = lhs.coeffs[-1] / rhs.coeffs[-1]
+    return lam, lhs == rhs * lam
 
 
 def enumerate_counts(C):

@@ -108,19 +108,49 @@ def test_usage_errors(tmp_path, capsys):
     bad.write_text("2 2 1\n1 2\n")
     assert run(["weights", str(bad)]) == 2
     assert run(["extremal", "--q", "5", "--c", "2", "--n", "6"]) == 2
+    assert run(["clifford", EXT_HAMMING, "--exhaustive", "--sample", "5"]) == 2
     assert run(["nosuchcommand"]) == 2
     capsys.readouterr()
 
 
-def test_console_entry_point():
-    # the child imports the same codezeta as the tests, installed or not
+def _run_child(*args):
+    """A fresh interpreter that imports the same codezeta as the tests,
+    installed or not."""
     package_root = str(Path(codezeta.__file__).parents[1])
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "codezeta.cli", "--json", "weights", HAMMING],
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_console_entry_point():
+    proc = _run_child("-m", "codezeta.cli", "--json", "weights", HAMMING)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["d"] == 3
+
+
+NUMPY_PROBE = """
+import contextlib, io, sys
+from codezeta.cli import run
+
+def quiet(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        run(list(argv))
+
+for path in sys.argv[1:]:
+    quiet("report", path)
+quiet("extremal", "--q", "4", "--c", "2", "--n", "12")
+print("numpy" in sys.modules)
+quiet("extremal", "--q", "4", "--c", "2", "--n", "12", "--ultraspherical")
+print("numpy" in sys.modules)
+"""
+
+
+def test_numpy_is_imported_only_by_ultraspherical():
+    fixtures = sorted(str(p) for p in FIXTURES.glob("*.code"))
+    proc = _run_child("-c", NUMPY_PROBE, *fixtures)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]

@@ -147,6 +147,20 @@ def test_ultraspherical_family(m, n, lam):
             assert abs(r - 0.5) <= 1e-9
 
 
+@pytest.mark.parametrize("name", sorted(MALLOWS_SLOANE))
+def test_ultraspherical_matches_the_power_reference(name):
+    # m = d - 3 is the degree the extremal command checks; d - 2 is a wrong one
+    q, c, mod, _ = MALLOWS_SLOANE[name]
+    for n in range(mod, 97, mod):
+        ext = extremal_sd_enumerator(q, c, n)
+        if not ext.unique or ext.d < 3:
+            continue
+        P = _zeta_of_extremal(ext)
+        for m in (ext.d - 3, ext.d - 2) if n <= 48 else (ext.d - 3,):
+            assert check_ultraspherical(P, m) == reference.check_ultraspherical(P, m), (
+                n, m)
+
+
 def test_ultraspherical_fails_for_wrong_degree():
     ext = extremal_sd_enumerator(4, 2, 12)
     P = _zeta_of_extremal(ext)

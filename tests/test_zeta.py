@@ -1,11 +1,23 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from codezeta.code import dual_code, make_mds_code, weight_distribution
+import reference
+from codezeta.bounds import MALLOWS_SLOANE
+from codezeta.code import (
+    LinearCode,
+    WeightDistribution,
+    dual_code,
+    make_mds_code,
+    weight_distribution,
+)
 from codezeta.enumerator import normalize
 from codezeta.exactmath import UniPoly
+from codezeta.extremal import extremal_sd_enumerator
+from codezeta.gf import field_new
 from codezeta.zeta import (
+    CrossCheckError,
     StructuralError,
     ZetaPolynomial,
     _divide_by_u_minus_1,
@@ -51,6 +63,75 @@ def test_def1_route_matches(hamming74, hexacode63, corpus):
         assert zeta_from_enumerator_def1(wd).P == P.P
     for entry in corpus[:12]:
         assert zeta_from_enumerator_def1(entry.wd).P == entry.P.P
+
+
+def _random_distributions():
+    """Weight distributions of both sides of seeded random codes over all
+    seven fields, k = 1 and k = n - 1 included, zero columns allowed."""
+    rng = random.Random(20261018)
+    out = []
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        field = field_new(q)
+        for shape in range(6):
+            n = rng.randrange(2, 10)
+            k = {0: 1, 1: n - 1}.get(shape) or rng.randrange(1, n)
+            gen = tuple(
+                tuple(int(j == i) if j < k else rng.randrange(q) for j in range(n))
+                for i in range(k)
+            )
+            wd = weight_distribution(LinearCode(field=field, n=n, k=k, generator=gen))
+            out += [wd, wd.dual()]
+    return out
+
+
+def _extremal_distributions():
+    """Unique extremal self-dual distributions of every type, n <= 96."""
+    out = []
+    for q, c, mod, _ in MALLOWS_SLOANE.values():
+        for n in range(mod, 97, mod):
+            ext = extremal_sd_enumerator(q, c, n)
+            if ext.unique:
+                out.append(WeightDistribution(
+                    q=q, n=n, k=n // 2, counts=ext.counts, d=ext.d, d_dual=ext.d
+                ))
+    return out
+
+
+def _check_routes(wd, def1_reference=True):
+    a = normalize(wd)
+    P = zeta_from_normalized(a)
+    assert P.P == reference.zeta_from_normalized(a)
+    assert P.k == wd.k
+    assert zeta_from_normalized(a, k=wd.k, d_dual=wd.d_dual).P == P.P
+    P1 = zeta_from_enumerator_def1(wd)
+    assert P1.P == P.P
+    if def1_reference:
+        assert P1.P == reference.zeta_from_enumerator_def1(wd)
+
+
+def test_closed_forms_match_the_reference_routes(corpus):
+    distributions = _random_distributions()
+    assert {wd.q for wd in distributions} == {2, 3, 4, 5, 7, 8, 9}
+    assert any(wd.k == 1 for wd in distributions)  # and k = n - 1 on its dual
+    for entry in corpus:
+        distributions += [entry.wd, entry.wd.dual()]
+    for wd in distributions:
+        _check_routes(wd)
+
+
+def test_closed_forms_match_the_reference_routes_on_extremal_enumerators():
+    # the reference Gaussian elimination of the direct definition takes about
+    # 30 s for all n <= 96, so it runs to n = 48; above that the forward
+    # substitution is held to the closed form, itself checked to n = 96
+    for wd in _extremal_distributions():
+        _check_routes(wd, def1_reference=wd.n <= 48)
+
+
+def test_def1_rejects_weights_below_d():
+    wd = WeightDistribution(q=2, n=4, k=1, counts=(1, 1, 0, 0, 0), d=2, d_dual=1)
+    assert reference.zeta_from_enumerator_def1(wd) is None
+    with pytest.raises(CrossCheckError):
+        zeta_from_enumerator_def1(wd)
 
 
 def test_degree_and_value_at_one(corpus):
