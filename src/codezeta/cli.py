@@ -177,13 +177,18 @@ def cmd_extremal(args):
     if args.ultraspherical:
         if not enum.unique:
             return report, False
+        m = enum.d - 3
+        if m < 0:
+            report["ultraspherical"] = {
+                "m": m, "holds": None, "not_applicable": "needs d >= 3",
+            }
+            return report, ok
         wd = WeightDistribution(
             q=enum.q, n=enum.n, k=enum.n // 2, counts=enum.counts,
             d=enum.d, d_dual=enum.d,
         )
         a = enum_mod.normalize(wd)
         P = zeta_mod.zeta_from_normalized(a, k=wd.k, d_dual=wd.d_dual)
-        m = enum.d - 3
         lam, holds = extremal_mod.check_ultraspherical(P, m)
         radii = (
             extremal_mod.critical_circle_radii(P) if P.P.degree >= 1 else []

@@ -1,5 +1,5 @@
 """Exact rational arithmetic: dense univariate polynomials, sparse bivariate
-polynomials, truncated power series, rational-function pairs and Lagrange
+polynomials, truncated power series, rational-function pairs and Newton-form
 interpolation.
 
 All coefficients are `fractions.Fraction`; every operation is exact and pure.
@@ -11,6 +11,7 @@ degree 2n for the extremal lengths up to 936, which a dense list holds.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 
 class UniPoly:
@@ -316,17 +317,42 @@ def ratfun_equal(f, g):
 
 
 def interpolate(points):
-    """Lagrange interpolation through (x, y) pairs with distinct x."""
-    result = UniPoly()
+    """The polynomial of least degree through (x, y) pairs with distinct x.
+
+    Newton's divided differences, then Horner's rule into the monomial basis:
+    O(n^2) operations, all on integers. The nodes are scaled to integers
+    u = Lx and the values to integers Y = Dy (L, D the lcms of the
+    denominators). Column k of the divided-difference table of Y over u is
+    kept as integer numerators over one denominator
+    Q_k = Q_(k-1) lcm_i |u_(i+k) - u_i|, which is k! for consecutive nodes.
+    Horner's rule runs on the integers Q_N f[u_0..u_k], and the t^j
+    coefficient is its result times L^j / (D Q_N): one Fraction each.
+    """
     xs = [Fraction(x) for x, _ in points]
-    for i, (_, yi) in enumerate(points):
-        if yi == 0:
-            continue
-        basis = UniPoly([1])
-        denom = Fraction(1)
-        for j, xj in enumerate(xs):
-            if j != i:
-                basis = basis * UniPoly([-xj, 1])
-                denom *= xs[i] - xj
-        result = result + basis * (Fraction(yi) / denom)
-    return result
+    ys = [Fraction(y) for _, y in points]
+    if len(set(xs)) != len(xs):
+        raise ZeroDivisionError("interpolation nodes must be distinct")
+    if not xs:
+        return UniPoly()
+    L = lcm(*(x.denominator for x in xs))
+    D = lcm(*(y.denominator for y in ys))
+    u = [x.numerator * (L // x.denominator) for x in xs]
+    col = [y.numerator * (D // y.denominator) for y in ys]
+    lead = [col[0]]  # numerators of f[u_0..u_k]
+    scale = [1]  # Q_k
+    for k in range(1, len(u)):
+        gaps = [u[i + k] - u[i] for i in range(len(col) - 1)]
+        M = lcm(*gaps)
+        col = [(b - a) * (M // g) for a, b, g in zip(col, col[1:], gaps)]
+        lead.append(col[0])
+        scale.append(scale[-1] * M)
+    top = scale[-1]
+    coeffs = [lead[-1]]
+    for k in range(len(u) - 2, -1, -1):
+        # coeffs * (t - u_k) + Q_N f[u_0..u_k]
+        uk = u[k]
+        coeffs = ([lead[k] * (top // scale[k]) - uk * coeffs[0]]
+                  + [a - uk * b for a, b in zip(coeffs, coeffs[1:])]
+                  + [coeffs[-1]])
+    den = D * top
+    return UniPoly([Fraction(c * L**j, den) for j, c in enumerate(coeffs)])

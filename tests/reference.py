@@ -1,6 +1,7 @@
 """Plain reference implementations that the kernels, the shared formulas,
-the Gleason-basis extremal synthesis and the closed-form zeta and
-ultraspherical constructions of `codezeta` are tested against."""
+the Gleason-basis extremal synthesis, the closed-form zeta and
+ultraspherical constructions and the Newton interpolation of `codezeta` are
+tested against."""
 
 import itertools
 import math
@@ -257,3 +258,21 @@ def extremal_sd_enumerator(q, c, n):
             nonnegative=all(v >= 0 for v in counts),
         )
     raise InfeasibleError(f"no self-dual enumerator found for (q={q}, c={c}, n={n})")
+
+
+def interpolate(points):
+    """Lagrange interpolation through (x, y) pairs with distinct x: one
+    UniPoly product per basis factor, O(n^3)."""
+    result = UniPoly()
+    xs = [Fraction(x) for x, _ in points]
+    for i, (_, yi) in enumerate(points):
+        if yi == 0:
+            continue
+        basis = UniPoly([1])
+        denom = Fraction(1)
+        for j, xj in enumerate(xs):
+            if j != i:
+                basis = basis * UniPoly([-xj, 1])
+                denom *= xs[i] - xj
+        result = result + basis * (Fraction(yi) / denom)
+    return result

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+import reference
+from codezeta import bounds as bounds_mod
 from codezeta.bounds import (
     LemmaCheckError,
     check_bounds,
@@ -139,3 +141,32 @@ def test_zero_audit_ext_hamming(ext_hamming84):
     audit = zero_count_audit(h, proof_zero_bound(8, 4, 4, strong=True), 5, 7)
     assert audit["zeros"] == [5, 6, 7]
     assert audit["meets"]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except LemmaCheckError as exc:
+        return str(exc)
+
+
+def _interpolated(corpus):
+    out = []
+    for entry in corpus:
+        a, n = entry.norm, entry.wd.n
+        for d_dual in {max(entry.wd.d_dual - 1, 1), entry.wd.d_dual,
+                       min(entry.wd.d_dual + 1, n)}:
+            out.append(_outcome(g_poly, a, d_dual))
+            for c in {1, 2, divisibility(entry.wd)}:
+                out.append(_outcome(h_poly, a, c, d_dual))
+    return out
+
+
+def test_interpolation_lemmas_match_the_lagrange_reference(corpus, monkeypatch):
+    # every g/h polynomial, and every LemmaCheckError, on the corpus at the
+    # true d_dual and one off either side, is what Lagrange interpolation gives
+    got = _interpolated(corpus)
+    assert any(isinstance(v, str) for v in got)
+    assert any(not isinstance(v, str) for v in got)
+    monkeypatch.setattr(bounds_mod, "interpolate", reference.interpolate)
+    assert got == _interpolated(corpus)

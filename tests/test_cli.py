@@ -84,6 +84,18 @@ def test_extremal_command(capsys):
     assert report["ultraspherical"]["on_critical_circle"]
 
 
+@pytest.mark.parametrize("q,c,n", [(2, 2, 2), (2, 2, 4), (2, 2, 6), (4, 2, 2), (4, 2, 4)])
+def test_extremal_ultraspherical_below_d_3_is_not_applicable(q, c, n, capsys):
+    args = ["--q", str(q), "--c", str(c), "--n", str(n)]
+    assert run(["--json", "extremal", *args, "--ultraspherical"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report.pop("ultraspherical") == {
+        "m": report["d"] - 3, "holds": None, "not_applicable": "needs d >= 3",
+    }
+    assert run(["--json", "extremal", *args]) == 0
+    assert json.loads(capsys.readouterr().out) == report
+
+
 def test_extremal_over_the_guard_exits_2(capsys):
     n = (extremal_mod.EXTREMAL_N_MAX // 8 + 1) * 8
     unused = mock.Mock(side_effect=AssertionError("the guard must come first"))

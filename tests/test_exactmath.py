@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from codezeta.exactmath import (
@@ -14,6 +14,7 @@ from codezeta.exactmath import (
 )
 
 # the routes that the closed-form zeta solves are checked against
+import reference
 from reference import mobius_compose, series_quotient, solve_linear
 
 rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
@@ -147,3 +148,23 @@ def test_solve_linear():
 def test_interpolate():
     p = interpolate([(1, 1), (2, 4), (3, 9)])
     assert p == UniPoly([0, 0, 1])
+    assert interpolate([]) == UniPoly()
+    assert interpolate([(Fraction(-1, 2), 0), (3, 0)]) == UniPoly()
+    with pytest.raises(ZeroDivisionError):
+        interpolate([(1, 2), (Fraction(2, 2), 3)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.fractions(min_value=-40, max_value=40, max_denominator=9),
+            rationals,
+        ),
+        max_size=25,
+        unique_by=lambda point: point[0],
+    )
+)
+def test_interpolate_matches_the_lagrange_reference(points):
+    # unsorted, negative, non-consecutive nodes with rational values
+    assert interpolate(points) == reference.interpolate(points)
