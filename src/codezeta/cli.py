@@ -17,7 +17,7 @@ from . import extremal as extremal_mod
 from . import matroid as matroid_mod
 from . import zeta as zeta_mod
 from .analysis import CodeAnalysis
-from .code import CapacityError, ParseError, WeightDistribution, parse_code
+from .code import CapacityError, ParseError, parse_code
 from .exactmath import format_poly
 from .gf import FieldError
 
@@ -42,7 +42,7 @@ def _ratfun(f, vars=("x", "y")):
     return {"num": _bi(f.num, vars), "den": _bi(f.den, vars)}
 
 
-def cmd_weights(an):
+def cmd_weights(an, args):
     C, wd = an.code, an.wd
     report = {
         "q": C.q,
@@ -56,7 +56,7 @@ def cmd_weights(an):
     return report, True
 
 
-def cmd_zeta(an):
+def cmd_zeta(an, args):
     C, wd, P, P1 = an.code, an.wd, an.P, an.P_def1
     routes_agree = P.P == P1.P
     functional = zeta_mod.check_functional_eq(P, an.P_dual)
@@ -89,7 +89,7 @@ def cmd_zeta(an):
     return report, ok
 
 
-def cmd_rankgen(an):
+def cmd_rankgen(an, args):
     W, Wn = an.W, an.Wn
     report = {
         "W": _bi(W.W),
@@ -100,7 +100,7 @@ def cmd_rankgen(an):
     return report, W.W.eval(1, 1) == 2**an.code.n
 
 
-def cmd_greene(an):
+def cmd_greene(an, args):
     wd = an.wd
     plain = matroid_mod.check_greene(wd, an.W)
     normalized = matroid_mod.check_greene_normalized(wd, an.Wn)
@@ -108,9 +108,8 @@ def cmd_greene(an):
     return report, plain and normalized
 
 
-def cmd_twovar(an):
-    C = an.code
-    g = C.n + 1 - C.k - an.wd.d
+def cmd_twovar(an, args):
+    C, g = an.code, an.P.g
     report = {}
     try:
         Z = zeta_mod.two_var_zeta(an.Wn_plus, C.k, C.n, g)
@@ -129,7 +128,7 @@ def cmd_twovar(an):
     return report, compat
 
 
-def cmd_bounds(an):
+def cmd_bounds(an, args):
     C, wd = an.code, an.wd
     report = bounds_mod.check_bounds(wd, an.wd_dual)
     c = report["c"]
@@ -183,17 +182,15 @@ def cmd_extremal(args):
                 "m": m, "holds": None, "not_applicable": "needs d >= 3",
             }
             return report, ok
-        wd = WeightDistribution(
-            q=enum.q, n=enum.n, k=enum.n // 2, counts=enum.counts,
-            d=enum.d, d_dual=enum.d,
-        )
-        a = enum_mod.normalize(wd)
-        P = zeta_mod.zeta_from_normalized(a, k=wd.k, d_dual=wd.d_dual)
+        a = enum_mod.normalize_counts(enum.q, enum.n, enum.counts)
+        P = zeta_mod.zeta_from_normalized(a, k=enum.n // 2, d_dual=enum.d)
         lam, holds = extremal_mod.check_ultraspherical(P, m)
         radii = (
             extremal_mod.critical_circle_radii(P) if P.P.degree >= 1 else []
         )
-        on_circle = all(abs(r - 0.5) <= 1e-9 for r in radii)
+        # the critical circle is |T| = q^(-1/2)
+        radius = enum.q ** -0.5
+        on_circle = all(abs(r - radius) <= 1e-9 for r in radii)
         report["ultraspherical"] = {
             "m": m,
             "lambda": _frac(lam),
@@ -206,22 +203,13 @@ def cmd_extremal(args):
 
 
 def cmd_report(an, args):
+    """Every other file command on the same analysis, in table order."""
     full = {}
     ok = True
-    for name, fn in (
-        ("weights", cmd_weights),
-        ("zeta", cmd_zeta),
-        ("rankgen", cmd_rankgen),
-        ("greene", cmd_greene),
-        ("twovar", cmd_twovar),
-        ("bounds", cmd_bounds),
-    ):
-        sub, sub_ok = fn(an)
-        full[name] = sub
-        ok = ok and sub_ok
-    sub, sub_ok = cmd_clifford(an, args)
-    full["clifford"] = sub
-    ok = ok and sub_ok
+    for name, fn in FILE_COMMANDS.items():
+        if name != "report":
+            full[name], sub_ok = fn(an, args)
+            ok = ok and sub_ok
     return full, ok
 
 
@@ -279,28 +267,24 @@ def build_parser():
     )
     parser.add_argument("--json", action="store_true", help="emit JSON output")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("weights", "zeta", "rankgen", "greene", "twovar", "bounds"):
+    names = list(FILE_COMMANDS)
+    names.insert(names.index("report"), "extremal")  # help lists it before report
+    for name in names:
         p = sub.add_parser(name)
-        p.add_argument("file")
+        if name == "extremal":
+            for option in ("--q", "--c", "--n"):
+                p.add_argument(option, type=int, required=True)
+            p.add_argument("--ultraspherical", action="store_true")
+        else:
+            p.add_argument("file")
+        if name in ("clifford", "report"):  # both run the Clifford check
+            mode = p
+            if name == "clifford":
+                mode = p.add_mutually_exclusive_group()
+                mode.add_argument("--exhaustive", action="store_true")
+            mode.add_argument("--sample", type=int, default=None)
+            p.add_argument("--seed", type=int, default=0)
         p.add_argument("--json", action="store_true", default=argparse.SUPPRESS)
-    p = sub.add_parser("clifford")
-    p.add_argument("file")
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--exhaustive", action="store_true")
-    mode.add_argument("--sample", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", action="store_true", default=argparse.SUPPRESS)
-    p = sub.add_parser("extremal")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--c", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--ultraspherical", action="store_true")
-    p.add_argument("--json", action="store_true", default=argparse.SUPPRESS)
-    p = sub.add_parser("report")
-    p.add_argument("file")
-    p.add_argument("--sample", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", action="store_true", default=argparse.SUPPRESS)
     return parser
 
 
@@ -316,11 +300,7 @@ def run(argv=None):
         else:
             with open(args.file) as fh:
                 C = parse_code(fh.read())
-            an = CodeAnalysis(C)
-            if args.command in ("clifford", "report"):
-                report, ok = FILE_COMMANDS[args.command](an, args)
-            else:
-                report, ok = FILE_COMMANDS[args.command](an)
+            report, ok = FILE_COMMANDS[args.command](CodeAnalysis(C), args)
     except (ParseError, CapacityError, FieldError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -7,7 +7,7 @@ import math
 import operator
 from collections import Counter
 from dataclasses import dataclass, field as dataclass_field
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import repeat
 
 from .gf import FieldSpec, field_new
@@ -35,6 +35,11 @@ class LinearCode:
     @property
     def q(self):
         return self.field.q
+
+    @cached_property
+    def _columns(self):
+        # column j as a tuple of its k symbols
+        return tuple(zip(*self.generator))
 
     @cached_property
     def _packed_columns(self):
@@ -368,23 +373,35 @@ def weight_distribution(C, dual=None):
 
 
 def _reduce_column(field, basis, vec):
-    """Reduce vec against an echelonized basis; returns (new_basis, grew)."""
-    cur = list(vec)
+    """Reduce vec against an echelonized basis of (pivot, vector) pairs, each
+    vector 1 at its pivot and 0 at the pivots before it; returns the basis,
+    grown by the scaled remainder when that is nonzero."""
+    add, mul = field.add_table, field.mul_table
+    cur = vec
     for pivot, bvec in basis:
         c = cur[pivot]
         if c:
-            cur = [field.sub(a, field.mul(c, b)) for a, b in zip(cur, bvec)]
+            minus_c = mul[field.neg_table[c]]
+            cur = [add[a][minus_c[b]] for a, b in zip(cur, bvec)]
     pivot = next((i for i, v in enumerate(cur) if v), None)
     if pivot is None:
-        return basis, False
-    inv = field.inv(cur[pivot])
-    cur = tuple(field.mul(inv, v) for v in cur)
-    return basis + ((pivot, cur),), True
+        return basis
+    scale = mul[field.inv(cur[pivot])]
+    return basis + ((pivot, tuple(scale[v] for v in cur)),)
 
 
-def _binary_rank(columns, cols):
+def _xor_reduce(basis, x):
+    """_reduce_column for q = 2 on packed columns: the pivot is the lowest set
+    bit of the remainder, and scaling is the identity."""
+    for pivot, v in basis:
+        if x & pivot:
+            x ^= v
+    return basis + ((x & -x, x),) if x else basis
+
+
+def _binary_rank(columns, cols, k):
     """Rank over GF(2) of the packed columns indexed by cols, in an XOR
-    basis keyed by leading bit."""
+    basis keyed by leading bit; stops at k, the largest rank there is."""
     basis = {}
     for j in cols:
         x = columns[j]
@@ -393,32 +410,42 @@ def _binary_rank(columns, cols):
             b = basis.get(lead)
             if b is None:
                 basis[lead] = x
+                if len(basis) == k:
+                    return k
                 break
             x ^= b
     return len(basis)
 
 
 def _generic_rank(C, cols):
-    field = C.field
     basis = ()
     for j in cols:
-        column = tuple(row[j] for row in C.generator)
-        basis, _ = _reduce_column(field, basis, column)
+        if len(basis) == C.k:
+            break
+        basis = _reduce_column(C.field, basis, C._columns[j])
     return len(basis)
 
 
 def subset_rank(C, cols):
     """Rank of the generator columns indexed by cols (0-based)."""
     if C.q == 2:
-        return _binary_rank(C._packed_columns, cols)
+        return _binary_rank(C._packed_columns, cols, C.k)
     return _generic_rank(C, cols)
 
 
-def _binary_subset_ranks(columns, k):
-    # the generic DFS below on packed columns; a basis is a tuple of
-    # (pivot bit, vector) with distinct pivots, each vector clear at the
-    # pivots before it
-    n = len(columns)
+def iter_subset_ranks(C):
+    """Yield (mask, size, rank) for every subset of columns, by DFS with an
+    incrementally maintained echelon basis (including column j before
+    leaving it out). The reduce step is an XOR on packed columns for q = 2
+    and `_reduce_column` otherwise; once the basis holds k vectors no column
+    can grow it, so it is reused as it is. 2^n subsets; guarded at n <= 22."""
+    if C.n > SUBSET_N_MAX:
+        raise CapacityError(f"subset enumeration guarded at n <= {SUBSET_N_MAX}")
+    n, k = C.n, C.k
+    if C.q == 2:
+        columns, reduce = C._packed_columns, _xor_reduce
+    else:
+        columns, reduce = C._columns, partial(_reduce_column, C.field)
     stack = [(0, 0, 0, ())]
     pop, push = stack.pop, stack.append
     while stack:
@@ -428,40 +455,8 @@ def _binary_subset_ranks(columns, k):
             continue
         push((j + 1, mask, size, basis))
         if len(basis) < k:
-            x = columns[j]
-            for pivot, v in basis:
-                if x & pivot:
-                    x ^= v
-            if x:
-                basis += ((x & -x, x),)
+            basis = reduce(basis, columns[j])
         push((j + 1, mask | 1 << j, size + 1, basis))
-
-
-def _generic_subset_ranks(C):
-    n = C.n
-    field = C.field
-    columns = [tuple(row[j] for row in C.generator) for j in range(n)]
-    stack = [(0, 0, 0, ())]
-    while stack:
-        j, mask, size, basis = stack.pop()
-        if j == n:
-            yield mask, size, len(basis)
-            continue
-        stack.append((j + 1, mask, size, basis))
-        nb, _ = _reduce_column(field, basis, columns[j])
-        stack.append((j + 1, mask | (1 << j), size + 1, nb))
-
-
-def iter_subset_ranks(C):
-    """Yield (mask, size, rank) for every subset of columns, by DFS with an
-    incrementally maintained echelon basis (including column j before
-    leaving it out). 2^n subsets; guarded at n <= 22."""
-    if C.n > SUBSET_N_MAX:
-        raise CapacityError(f"subset enumeration guarded at n <= {SUBSET_N_MAX}")
-    if C.q == 2:
-        yield from _binary_subset_ranks(C._packed_columns, C.k)
-    else:
-        yield from _generic_subset_ranks(C)
 
 
 def make_mds_code(q, n, k):

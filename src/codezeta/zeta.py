@@ -43,23 +43,7 @@ class TwoVarZeta:
     g: int
 
 
-def _infer_k(a):
-    """Recover k from sum A_w = q^k; the a-values determine the code size."""
-    total = sum(aw * comb(a.n, w) for w, aw in enumerate(a.a_list))
-    if total.denominator != 1:
-        raise ValueError("normalized enumerator does not sum to an integer")
-    total = total.numerator
-    k = 0
-    size = 1
-    while size < total:
-        size *= a.q
-        k += 1
-    if size != total:
-        raise ValueError("code size is not a power of q")
-    return k
-
-
-def zeta_from_normalized(a, k=None, d_dual=None):
+def zeta_from_normalized(a, k, d_dual):
     """Definition-2 style: P(T) = a(T/(1-T)) (1-qT)/(1-T)^d mod T^(n-d+1).
 
     T^j (1-T)^-(j+d) = sum_i C(i+j+d-1, i) T^(i+j), so s_m, the T^m
@@ -80,26 +64,17 @@ def zeta_from_normalized(a, k=None, d_dual=None):
         s = list(accumulate(s))
     p = [Fraction(s[0], D)]
     p += [Fraction(cur - q * prev, D) for prev, cur in zip(s, s[1:])]
-    P = UniPoly(p)
-    if k is None:
-        k = _infer_k(a)
-    if d_dual is None:
-        d_dual = n + 2 - d - P.degree
-    return ZetaPolynomial(P=P, q=q, n=n, k=k, d=d, d_dual=d_dual)
-
-
-def _geom(q, j):
-    # coefficient of T^j in 1/((1-T)(1-qT)), i.e. (q^(j+1)-1)/(q-1)
-    return (q ** (j + 1) - 1) // (q - 1)
+    return ZetaPolynomial(P=UniPoly(p), q=q, n=n, k=k, d=d, d_dual=d_dual)
 
 
 def zeta_from_enumerator_def1(A):
     """Solve the original definition directly: for every monomial x^(n-i) y^i,
     the T^(n-d) coefficient of P(T)/((1-T)(1-qT)) (y+(x-y)T)^n must equal
-    A_i/(q-1). Row i of this system in p_0 .. p_(n-d) has entries only at
-    l <= i-d, with C(n, i) at l = i-d, so rows d..n are solved by forward
-    substitution and rows 1..d-1 demand A_i = 0. Full bivariate route; used
-    as an independent verifier."""
+    A_i/(q-1). Entry (i, l) of this system in p_0 .. p_(n-d) is C(n, i) c_j,
+    c_j the T^j coefficient of (1-T)^(i-1)/(1-qT) and j = i-d-l; it is zero
+    for l > i-d and C(n, i) on the diagonal, so rows d..n are solved by
+    forward substitution and rows 1..d-1 demand A_i = 0. Full bivariate
+    route; used as an independent verifier."""
     q, n, d = A.q, A.n, A.d
     if any(A.counts[1:d]):
         raise CrossCheckError(
@@ -107,14 +82,12 @@ def zeta_from_enumerator_def1(A):
         )
     p = []
     for i in range(d, n + 1):
-        acc = Fraction(A.counts[i], q - 1)
-        for l, pl in enumerate(p):
-            acc -= pl * sum(
-                (-1) ** (m - n + i) * comb(n, m) * comb(m, n - i)
-                * _geom(q, n - d - m - l)
-                for m in range(n - i, n - d - l + 1)
-            )
-        p.append(acc / comb(n, i))
+        # c_j = q c_(j-1) + (-1)^j C(i-1, j); p_l meets c_(i-d-l)
+        c = [1]
+        for j in range(1, i - d + 1):
+            c.append(q * c[-1] + (-1) ** j * comb(i - 1, j))
+        acc = Fraction(A.counts[i], (q - 1) * comb(n, i))
+        p.append(acc - sum(pl * cj for pl, cj in zip(p, reversed(c))))
     return ZetaPolynomial(
         P=UniPoly(p), q=q, n=n, k=A.k, d=d, d_dual=A.d_dual
     )

@@ -1,7 +1,7 @@
 """Plain reference implementations that the kernels, the shared formulas,
-the Gleason-basis extremal synthesis, the closed-form zeta and
-ultraspherical constructions and the Newton interpolation of `codezeta` are
-tested against."""
+the subset-rank DFS, the Gleason-basis extremal synthesis, the closed-form
+zeta and ultraspherical constructions and the Newton interpolation of
+`codezeta` are tested against."""
 
 import itertools
 import math
@@ -171,6 +171,39 @@ def enumerate_counts(C):
         else:
             counts[sum(1 for v in acc if v)] += 1
     return counts
+
+
+def _reduce_column(field, basis, vec):
+    """Reduce vec against an echelonized basis of (pivot, vector) pairs;
+    returns the basis, grown by the normalized remainder when nonzero."""
+    cur = list(vec)
+    for pivot, bvec in basis:
+        c = cur[pivot]
+        if c:
+            cur = [field.sub(a, field.mul(c, b)) for a, b in zip(cur, bvec)]
+    pivot = next((i for i, v in enumerate(cur) if v), None)
+    if pivot is None:
+        return basis
+    inv = field.inv(cur[pivot])
+    return basis + ((pivot, tuple(field.mul(inv, v) for v in cur)),)
+
+
+def subset_ranks(C):
+    """(mask, size, rank) for every column subset, in the DFS order of
+    `iter_subset_ranks` (column j taken before it is left out), reducing
+    every column against a tuple echelon basis over GF(q), for every q."""
+    n = C.n
+    field = C.field
+    columns = [tuple(row[j] for row in C.generator) for j in range(n)]
+    stack = [(0, 0, 0, ())]
+    while stack:
+        j, mask, size, basis = stack.pop()
+        if j == n:
+            yield mask, size, len(basis)
+            continue
+        stack.append((j + 1, mask, size, basis))
+        grown = _reduce_column(field, basis, columns[j])
+        stack.append((j + 1, mask | (1 << j), size + 1, grown))
 
 
 def krawtchouk(q, n, j, i):

@@ -8,6 +8,7 @@ from unittest import mock
 import pytest
 
 import codezeta
+from codezeta import cli as cli_mod
 from codezeta import extremal as extremal_mod
 from codezeta.cli import run
 
@@ -96,6 +97,20 @@ def test_extremal_ultraspherical_below_d_3_is_not_applicable(q, c, n, capsys):
     assert json.loads(capsys.readouterr().out) == report
 
 
+@pytest.mark.parametrize("q,c,n", [(2, 4, 24), (3, 3, 12)])
+def test_extremal_critical_circle_radius_comes_from_q(q, c, n, capsys):
+    # the Golay enumerators: every zero lies on |T| = q^(-1/2); the identity
+    # checked is Type IV's, so `holds` stays false
+    args = ["--q", str(q), "--c", str(c), "--n", str(n), "--ultraspherical"]
+    assert run(["--json", "extremal", *args]) == 1
+    ultra = json.loads(capsys.readouterr().out)["ultraspherical"]
+    assert ultra["radii"] and all(
+        r == pytest.approx(q ** -0.5, abs=1e-9) for r in ultra["radii"]
+    )
+    assert ultra["on_critical_circle"] is True
+    assert ultra["holds"] is False
+
+
 def test_extremal_over_the_guard_exits_2(capsys):
     n = (extremal_mod.EXTREMAL_N_MAX // 8 + 1) * 8
     unused = mock.Mock(side_effect=AssertionError("the guard must come first"))
@@ -112,6 +127,17 @@ def test_report_command(capsys):
     }
     # Euclidean dual: the hexacode is self-dual only Hermitian-wise
     assert report["clifford"]["classification"] == "formally-self-dual"
+
+
+def test_report_with_wrapped_commands(monkeypatch, capsys):
+    # a tracer replaces the module's functions by wrappers; report must not
+    # take its own table entry for another command
+    original = cli_mod.cmd_report
+    monkeypatch.setattr(cli_mod, "cmd_report", lambda *args: original(*args))
+    assert run(["--json", "report", HAMMING]) == 0
+    assert set(json.loads(capsys.readouterr().out)) == {
+        "weights", "zeta", "rankgen", "greene", "twovar", "bounds", "clifford"
+    }
 
 
 def test_usage_errors(tmp_path, capsys):

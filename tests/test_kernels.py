@@ -1,6 +1,6 @@
-"""The packed kernels of `codezeta.code` against plain references: codeword
-enumeration in every field, and the binary column-rank paths against the
-generic ones."""
+"""The kernels of `codezeta.code` against plain references: codeword
+enumeration and the subset-rank DFS in every field, and the binary
+column-rank paths against the generic ones."""
 
 import random
 import tracemalloc
@@ -18,7 +18,7 @@ from codezeta.code import (
     weight_distribution,
 )
 from codezeta.gf import SUPPORTED_Q, field_new
-from reference import enumerate_counts
+from reference import enumerate_counts, subset_ranks
 
 
 @st.composite
@@ -95,10 +95,15 @@ def test_enumeration_memory_is_bounded():
     assert peak < 4 * 2**20
 
 
-@settings(max_examples=30, deadline=None)
-@given(codes(fields=(2,), max_n=12))
-def test_binary_dfs_matches_generic(C):
-    assert list(iter_subset_ranks(C)) == list(code_mod._generic_subset_ranks(C))
+# any k <= n: the DFS costs 2^n whatever the code's size
+@settings(max_examples=80, deadline=None)
+@given(codes(max_n=10, max_words=9**10))
+@example(_code(9, [[0, 5, 8, 3]]))  # k = 1 and a zero column
+@example(_code(3, [[1, 0, 2, 0], [0, 1, 1, 0]]))  # a zero column
+@example(_code(7, [[3, 0, 0, 5, 1], [0, 0, 2, 6, 1], [0, 4, 0, 0, 2]]))  # k = n - 2
+@example(_code(2, [[1, 1, 1, 1, 1, 1]]))  # k = 1
+def test_subset_dfs_matches_reference(C):
+    assert list(iter_subset_ranks(C)) == list(subset_ranks(C))
 
 
 @settings(max_examples=100, deadline=None)
