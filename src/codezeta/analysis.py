@@ -79,14 +79,20 @@ class CodeAnalysis:
 
     @cached_property
     def classification(self):
-        """Where the code stands against its dual, for the Clifford check;
-        the weights are read only when it neither equals nor contains it."""
+        """Where the code stands against its dual, for the Clifford check.
+
+        The dimensions decide first: C contains C-perp only if 2k >= n, and
+        the two share a weight distribution (q^k words against q^(n-k)) only
+        if 2k = n. So the dual is built only when 2k >= n, and the weights
+        are read only when 2k = n and C neither equals nor contains it."""
         C = self.code
-        if C.k == C.n:
+        if 2 * C.k < C.n or C.k == C.n:
             return "other"
         relation = matroid_mod.dual_relation(C, self.dual)
         if relation:
             return relation
+        if 2 * C.k > C.n:
+            return "other"
         same = self.wd.counts == self.wd.dual_counts
         return "formally-self-dual" if same else "other"
 

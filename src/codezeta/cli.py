@@ -72,14 +72,12 @@ def cmd_zeta(an, args):
         "P_at_1": _frac(P.P(1)),
         "nondegenerate": nondegenerate,
         "functional_equation": functional,
-        "a_bound": {
-            "a": _frac(abound["a"]),
-            "relation_holds": abound["relation_holds"],
-            "bound": _frac(abound["bound"]),
-            "bound_holds": abound["bound_holds"],
-        },
+        "a_bound": dict(
+            abound, a=_frac(abound["a"]), bound=_frac(abound["bound"])
+        ),
     }
-    ok = routes_agree and functional and abound["relation_holds"] and abound["bound_holds"]
+    ok = (routes_agree and functional and abound["relation_holds"] is not False
+          and abound["bound_holds"])
     if nondegenerate:
         deg_ok = P.P.degree == C.n + 2 - wd.d - wd.d_dual
         p1_ok = P.P(1) == 1

@@ -120,7 +120,11 @@ def parse_code(text):
 
 
 def rref_rank(field, matrix):
-    """Reduced row echelon form over GF(q): (rank, rref rows, pivot columns)."""
+    """Reduced row echelon form over GF(q): (rank, rref rows, pivot columns).
+
+    Rows are scaled and eliminated through rows of the field's tables, as in
+    `_reduce_column`."""
+    add, mul, neg = field.add_table, field.mul_table, field.neg_table
     rows = [list(r) for r in matrix]
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
@@ -131,15 +135,13 @@ def rref_rank(field, matrix):
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = field.inv(rows[rank][col])
-        rows[rank] = [field.mul(inv, v) for v in rows[rank]]
+        scale = mul[field.inv(rows[rank][col])]
+        prow = rows[rank] = [scale[v] for v in rows[rank]]
         for r in range(nrows):
-            if r != rank and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [
-                    field.sub(a, field.mul(f, b))
-                    for a, b in zip(rows[r], rows[rank])
-                ]
+            c = rows[r][col]
+            if c and r != rank:
+                minus_c = mul[neg[c]]
+                rows[r] = [add[a][minus_c[b]] for a, b in zip(rows[r], prow)]
         pivots.append(col)
         rank += 1
         if rank == nrows:
@@ -399,38 +401,45 @@ def _xor_reduce(basis, x):
     return basis + ((x & -x, x),) if x else basis
 
 
-def _binary_rank(columns, cols, k):
-    """Rank over GF(2) of the packed columns indexed by cols, in an XOR
-    basis keyed by leading bit; stops at k, the largest rank there is."""
+def _binary_rank(columns, mask, stop):
+    """Rank over GF(2) of the packed columns whose bits are set in mask, in
+    an XOR basis keyed by leading bit; stops once it reaches `stop`."""
     basis = {}
-    for j in cols:
-        x = columns[j]
+    rank = 0
+    while mask and rank < stop:
+        low = mask & -mask
+        mask ^= low
+        x = columns[low.bit_length() - 1]
         while x:
             lead = x.bit_length()
             b = basis.get(lead)
             if b is None:
                 basis[lead] = x
-                if len(basis) == k:
-                    return k
+                rank += 1
                 break
             x ^= b
-    return len(basis)
+    return rank
 
 
-def _generic_rank(C, cols):
+def _generic_rank(C, mask, stop):
+    field, columns = C.field, C._columns
     basis = ()
-    for j in cols:
-        if len(basis) == C.k:
-            break
-        basis = _reduce_column(C.field, basis, C._columns[j])
+    while mask and len(basis) < stop:
+        low = mask & -mask
+        mask ^= low
+        basis = _reduce_column(field, basis, columns[low.bit_length() - 1])
     return len(basis)
 
 
-def subset_rank(C, cols):
-    """Rank of the generator columns indexed by cols (0-based)."""
+def subset_rank(C, mask, stop=None):
+    """min(stop, rank) of the generator columns whose bits are set in mask
+    (bit j is column j), for stop >= 0. The walk over the columns ends once
+    the rank reaches `stop`, which defaults to k, the largest rank there is."""
+    if stop is None:
+        stop = C.k
     if C.q == 2:
-        return _binary_rank(C._packed_columns, cols, C.k)
-    return _generic_rank(C, cols)
+        return _binary_rank(C._packed_columns, mask, stop)
+    return _generic_rank(C, mask, stop)
 
 
 def iter_subset_ranks(C):

@@ -13,13 +13,10 @@ from math import comb
 
 from .code import (
     CapacityError,
-    LinearCode,
     contains_code,
-    dual_code,
     iter_subset_ranks,
     nullspace,
     subset_rank,
-    weight_distribution,
 )
 from .exactmath import BiPoly, RatFun
 
@@ -237,16 +234,6 @@ def dual_relation(C, dual):
     return "self-dual" if C.k == dual.k else "contains-dual"
 
 
-def _classify(C):
-    if C.k == C.n:
-        return "other"
-    relation = dual_relation(C, dual_code(C))
-    if relation:
-        return relation
-    wd = weight_distribution(C)
-    return "formally-self-dual" if wd.counts == wd.dual_counts else "other"
-
-
 def clifford_check(C, mode="exhaustive", count=1000, seed=0, *,
                    classification=None, table=None):
     """Check 2 r(A) >= |A| over column subsets A and report the findings.
@@ -255,10 +242,13 @@ def clifford_check(C, mode="exhaustive", count=1000, seed=0, *,
     for a self-dual code every proper equality witness must split the code as
     a direct sum of self-dual codes supported on A and on its complement.
     `classification` and `table` (C's subset_rank_table) are computed when
-    not given.
+    not given. The sampled mode stops each rank at |A| // 2 + 1: the subsets
+    it reports have 2 r(A) <= |A|, so their ranks lie below that stop.
     """
     if classification is None:
-        classification = _classify(C)
+        from .analysis import CodeAnalysis
+
+        classification = CodeAnalysis(C).classification
     if mode == "exhaustive":
         if table is None:
             table = subset_rank_table(C)
@@ -271,7 +261,7 @@ def clifford_check(C, mode="exhaustive", count=1000, seed=0, *,
         def sampled():
             for _ in range(count):
                 mask = rng.getrandbits(C.n)
-                yield mask, subset_rank(C, _mask_cols(mask, C.n))
+                yield mask, subset_rank(C, mask, stop=mask.bit_count() // 2 + 1)
 
         subsets = sampled()
     else:
@@ -347,9 +337,9 @@ def find_two_disjoint_bases(C):
         raise ValueError("two disjoint bases need n = 2k")
     if n > 20:
         raise CapacityError("basis-partition search guarded at n <= 20")
+    full = (1 << n) - 1
     for a in combinations(range(n), k):
-        if subset_rank(C, a) == k:
-            b = tuple(j for j in range(n) if j not in a)
-            if subset_rank(C, b) == k:
-                return a, b
+        mask = sum(1 << j for j in a)
+        if subset_rank(C, mask) == k and subset_rank(C, full ^ mask) == k:
+            return a, tuple(_mask_cols(full ^ mask, n))
     return None

@@ -109,22 +109,26 @@ def check_functional_eq(Pc, Pd):
 
 def a_coefficient_bound(P, a_list):
     """Extract a = p_1/p_0 from P = (a_d/(q-1))(1 + aT + ...), verify the
-    relation a_d(a - d + q) = a_{d+1}, and report the bound d+1 <= q+1+a."""
+    relation a_d(a - d + q) = a_{d+1}, and report the bound d+1 <= q+1+a.
+
+    When d = n the relation names a weight no word can have, so
+    `relation_holds` is None and `relation_not_applicable` says why."""
     p0 = P.P.coeff(0)
     if p0 == 0:
         raise StructuralError("zeta polynomial with zero constant term")
     q, d, n = P.q, P.d, P.n
     a = P.P.coeff(1) / p0
-    a_d = Fraction(a_list[d])
-    a_d1 = Fraction(a_list[d + 1]) if d + 1 <= n else Fraction(0)
-    relation = a_d * (a - d + q) == a_d1
+    relation = Fraction(a_list[d]) * (a - d + q) == a_list[d + 1] if d < n else None
     bound = q + 1 + a
-    return {
+    report = {
         "a": a,
         "relation_holds": relation,
         "bound": bound,
         "bound_holds": Fraction(d + 1) <= bound,
     }
+    if relation is None:
+        report["relation_not_applicable"] = "d = n"
+    return report
 
 
 def _divide_by_u_minus_1(terms):

@@ -1,13 +1,15 @@
 """Plain reference implementations that the kernels, the shared formulas,
-the subset-rank DFS, the Gleason-basis extremal synthesis, the closed-form
-zeta and ultraspherical constructions and the Newton interpolation of
-`codezeta` are tested against."""
+the subset-rank DFS and point ranks, the table-driven row reduction, the
+dimension-first classification, the Gleason-basis extremal synthesis, the
+closed-form zeta and ultraspherical constructions and the Newton
+interpolation of `codezeta` are tested against."""
 
 import itertools
 import math
 from fractions import Fraction
 
 from codezeta.bounds import MALLOWS_SLOANE
+from codezeta.code import contains_code, dual_code, weight_distribution
 from codezeta.exactmath import BiPoly, UniPoly
 from codezeta.extremal import ExtremalEnumerator, gegenbauer
 
@@ -204,6 +206,57 @@ def subset_ranks(C):
         stack.append((j + 1, mask, size, basis))
         grown = _reduce_column(field, basis, columns[j])
         stack.append((j + 1, mask | (1 << j), size + 1, grown))
+
+
+def column_rank(C, mask):
+    """Rank of the generator columns whose bits are set in mask, each
+    reduced against a tuple echelon basis over GF(q)."""
+    basis = ()
+    for j in range(C.n):
+        if mask >> j & 1:
+            column = tuple(row[j] for row in C.generator)
+            basis = _reduce_column(C.field, basis, column)
+    return len(basis)
+
+
+def rref_rank(field, matrix):
+    """(rank, rref rows, pivot columns) over GF(q) by the field's methods."""
+    rows = [list(r) for r in matrix]
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    rank = 0
+    pivots = []
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, nrows) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = field.inv(rows[rank][col])
+        rows[rank] = [field.mul(inv, v) for v in rows[rank]]
+        for r in range(nrows):
+            if r != rank and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [
+                    field.sub(a, field.mul(f, b))
+                    for a, b in zip(rows[r], rows[rank])
+                ]
+        pivots.append(col)
+        rank += 1
+        if rank == nrows:
+            break
+    return rank, tuple(tuple(r) for r in rows), tuple(pivots)
+
+
+def classify(C):
+    """The Clifford classification whatever the dimensions: build the dual,
+    test containment, then compare the two weight distributions."""
+    if C.k == C.n:
+        return "other"
+    dual = dual_code(C)
+    if contains_code(C, dual):
+        return "self-dual" if C.k == dual.k else "contains-dual"
+    wd = weight_distribution(C)
+    return "formally-self-dual" if wd.counts == wd.dual_counts else "other"
 
 
 def krawtchouk(q, n, j, i):

@@ -6,27 +6,30 @@ import pkgutil
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
 
 import codezeta
 from codezeta import code as code_mod
 from codezeta import matroid as matroid_mod
 from codezeta.analysis import CodeAnalysis
 from codezeta.cli import run
+from codezeta.code import parse_code
+from reference import classify
+from strategies import codes, make_code
 
 FIXTURES = sorted((Path(__file__).parent / "fixtures").glob("*.code"))
 LAYER_CALLS = ("weight_distribution", "iter_subset_ranks")
 
 
-@pytest.fixture
-def calls(monkeypatch):
-    """Count the codeword enumerations and subset passes, under every name a
-    codezeta module holds them by."""
-    counts = dict.fromkeys(LAYER_CALLS, 0)
+def _count_calls(monkeypatch, names):
+    """Count the calls of the `codezeta.code` functions `names`, under every
+    name a codezeta module holds them by."""
+    counts = dict.fromkeys(names, 0)
     modules = [
         importlib.import_module(f"codezeta.{info.name}")
         for info in pkgutil.iter_modules(codezeta.__path__)
     ]
-    for name in LAYER_CALLS:
+    for name in names:
         original = getattr(code_mod, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
@@ -39,6 +42,12 @@ def calls(monkeypatch):
     return counts
 
 
+@pytest.fixture
+def calls(monkeypatch):
+    """Count the codeword enumerations and subset passes."""
+    return _count_calls(monkeypatch, LAYER_CALLS)
+
+
 def _run_json(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
@@ -47,10 +56,11 @@ def _run_json(argv):
     return json.loads(out.getvalue())
 
 
-def _clifford_enumerations(report):
-    # the weights decide the classification only when the code neither
-    # equals nor contains its dual
-    return int(report["classification"] in ("formally-self-dual", "other"))
+def _clifford_enumerations(C, report):
+    # the weights decide the classification only when 2k = n and the code
+    # neither equals nor contains its dual
+    undecided = report["classification"] in ("formally-self-dual", "other")
+    return int(2 * C.k == C.n and undecided)
 
 
 @pytest.mark.parametrize("path", FIXTURES, ids=lambda p: p.stem)
@@ -76,11 +86,42 @@ def test_one_enumeration_one_pass(calls, path, command, enumerations, passes):
 @pytest.mark.parametrize("path", FIXTURES, ids=lambda p: p.stem)
 @pytest.mark.parametrize("sample,passes", [([], 1), (["--sample", "20"], 0)])
 def test_clifford_work(calls, path, sample, passes):
+    C = parse_code(path.read_text())
     report = _run_json(["clifford", str(path), *sample])
     assert calls == {
-        "weight_distribution": _clifford_enumerations(report),
+        "weight_distribution": _clifford_enumerations(C, report),
         "iter_subset_ranks": passes,
     }
+
+
+def _below_half_rate(path):
+    C = parse_code(path.read_text())
+    return 2 * C.k < C.n
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in FIXTURES if _below_half_rate(p)], ids=lambda p: p.stem
+)
+def test_sampled_clifford_below_half_rate_needs_no_dual(monkeypatch, path):
+    # 2k < n: C cannot contain its dual nor share its weights
+    counts = _count_calls(monkeypatch, ("dual_code", "weight_distribution"))
+    report = _run_json(["clifford", str(path), "--sample", "20"])
+    assert report["classification"] == "other"
+    assert counts == {"dual_code": 0, "weight_distribution": 0}
+
+
+@settings(max_examples=150, deadline=None)
+@given(codes(max_n=8, max_words=9**8))
+@example(make_code(2, [[1, 0]]))  # 2k = n, formally self-dual
+@example(make_code(2, [[1, 1, 0, 0], [0, 0, 1, 1]]))  # 2k = n, self-dual
+@example(make_code(3, [[1, 0, 1, 1], [0, 1, 0, 0]]))  # 2k = n, neither
+@example(make_code(2, [[1, 0, 0, 0, 0, 1, 1], [0, 1, 0, 0, 1, 0, 1],
+                       [0, 0, 1, 0, 1, 1, 0], [0, 0, 0, 1, 1, 1, 1]]))  # contains its dual
+@example(make_code(5, [[1, 0, 2], [0, 1, 4]]))  # 2k > n, not containing
+@example(make_code(7, [[1, 0], [0, 1]]))  # k = n
+@example(make_code(9, [[0, 5, 8, 3]]))  # 2k < n
+def test_classification_matches_reference(C):
+    assert CodeAnalysis(C).classification == classify(C)
 
 
 def test_analysis_matches_code_taking_functions(calls, hexacode63, ext_hamming84):

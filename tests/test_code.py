@@ -141,21 +141,24 @@ def test_direct_vs_macwilliams_route():
 
 
 def test_subset_rank_basics(hamming74, code10):
-    assert subset_rank(hamming74, []) == 0
-    assert subset_rank(hamming74, range(7)) == 4
-    assert subset_rank(code10, [1]) == 0
+    full = (1 << 7) - 1
+    assert subset_rank(hamming74, 0) == 0
+    assert subset_rank(hamming74, full) == 4
+    assert subset_rank(hamming74, full, stop=2) == 2
+    assert subset_rank(hamming74, 0b11, stop=5) == 2
+    assert subset_rank(code10, 0b10) == 0
 
 
 def test_subset_rank_monotone_submodular(hamming74):
     rng = random.Random(3)
     cols = list(range(hamming74.n))
     for _ in range(40):
-        A = {j for j in cols if rng.random() < 0.4}
-        B = {j for j in cols if rng.random() < 0.4}
-        rA = subset_rank(hamming74, sorted(A))
-        rB = subset_rank(hamming74, sorted(B))
-        rU = subset_rank(hamming74, sorted(A | B))
-        rI = subset_rank(hamming74, sorted(A & B))
+        A = sum(1 << j for j in cols if rng.random() < 0.4)
+        B = sum(1 << j for j in cols if rng.random() < 0.4)
+        rA = subset_rank(hamming74, A)
+        rB = subset_rank(hamming74, B)
+        rU = subset_rank(hamming74, A | B)
+        rI = subset_rank(hamming74, A & B)
         assert rA <= rU and rB <= rU
         assert rU + rI <= rA + rB
 

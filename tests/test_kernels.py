@@ -1,6 +1,6 @@
 """The kernels of `codezeta.code` against plain references: codeword
-enumeration and the subset-rank DFS in every field, and the binary
-column-rank paths against the generic ones."""
+enumeration, the subset-rank DFS, the point ranks and the row reduction in
+every field, and the binary column-rank paths against the generic ones."""
 
 import random
 import tracemalloc
@@ -14,60 +14,23 @@ from codezeta import matroid as matroid_mod
 from codezeta.code import (
     LinearCode,
     iter_subset_ranks,
+    rref_rank,
     subset_rank,
     weight_distribution,
 )
 from codezeta.gf import SUPPORTED_Q, field_new
-from reference import enumerate_counts, subset_ranks
-
-
-@st.composite
-def codes(draw, fields=SUPPORTED_Q, max_n=8, max_words=1 << 12, halves=False):
-    """A full-rank generator over one of `fields`, possibly with zero columns:
-    an identity on random pivot columns, random entries elsewhere, then mixed
-    by random row operations so that it is not systematic. `halves` asks
-    for n = 2k."""
-    q = draw(st.sampled_from(fields))
-    field = field_new(q)
-    if halves:
-        k = draw(st.integers(1, max_n // 2))
-        n = 2 * k
-    else:
-        n = draw(st.integers(1, max_n))
-        k_max = 1
-        while k_max < n and q ** (k_max + 1) <= max_words:
-            k_max += 1
-        k = draw(st.integers(1, k_max))
-    order = draw(st.permutations(range(n)))
-    pivots = order[:k]
-    zero = set(order[k : k + draw(st.integers(0, n - k))])
-    symbol = st.integers(0, q - 1)
-    rows = []
-    for i in range(k):
-        rows.append([
-            (1 if j == pivots[i] else 0) if j in pivots or j in zero else draw(symbol)
-            for j in range(n)
-        ])
-    for _ in range(draw(st.integers(0, 2 * k))):
-        i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
-        c = draw(st.integers(1, q - 1))
-        if i != j:
-            rows[i] = [field.add(a, field.mul(c, b)) for a, b in zip(rows[i], rows[j])]
-    return LinearCode(field=field, n=n, k=k, generator=tuple(map(tuple, rows)))
-
-
-def _code(q, rows):
-    return LinearCode(field=field_new(q), n=len(rows[0]), k=len(rows),
-                      generator=tuple(map(tuple, rows)))
+from reference import column_rank, enumerate_counts, subset_ranks
+from reference import rref_rank as reference_rref_rank
+from strategies import codes, make_code
 
 
 # 1 sends every word through the Gray-code walk, 4 splits it between the
 # walk and a small table, 2^12 is the table size the kernel uses
 @settings(max_examples=300, deadline=None)
 @given(codes(), st.sampled_from([1, 4, 1 << 12]))
-@example(_code(9, [[0, 5, 8, 3]]), 4)  # k = 1 and a zero column
-@example(_code(4, [[1, 0, 0, 2, 3], [0, 1, 0, 3, 3], [0, 0, 1, 1, 0]]), 1)  # k > n - k
-@example(_code(8, [[1, 0, 7, 0], [0, 1, 5, 0]]), 4)
+@example(make_code(9, [[0, 5, 8, 3]]), 4)  # k = 1 and a zero column
+@example(make_code(4, [[1, 0, 0, 2, 3], [0, 1, 0, 3, 3], [0, 0, 1, 1, 0]]), 1)  # k > n - k
+@example(make_code(8, [[1, 0, 7, 0], [0, 1, 5, 0]]), 4)
 def test_enumeration_matches_reference(C, table_words):
     expected = enumerate_counts(C)
     with mock.patch.object(code_mod, "_TABLE_WORDS", table_words):
@@ -98,12 +61,34 @@ def test_enumeration_memory_is_bounded():
 # any k <= n: the DFS costs 2^n whatever the code's size
 @settings(max_examples=80, deadline=None)
 @given(codes(max_n=10, max_words=9**10))
-@example(_code(9, [[0, 5, 8, 3]]))  # k = 1 and a zero column
-@example(_code(3, [[1, 0, 2, 0], [0, 1, 1, 0]]))  # a zero column
-@example(_code(7, [[3, 0, 0, 5, 1], [0, 0, 2, 6, 1], [0, 4, 0, 0, 2]]))  # k = n - 2
-@example(_code(2, [[1, 1, 1, 1, 1, 1]]))  # k = 1
+@example(make_code(9, [[0, 5, 8, 3]]))  # k = 1 and a zero column
+@example(make_code(3, [[1, 0, 2, 0], [0, 1, 1, 0]]))  # a zero column
+@example(make_code(7, [[3, 0, 0, 5, 1], [0, 0, 2, 6, 1], [0, 4, 0, 0, 2]]))  # k = n - 2
+@example(make_code(2, [[1, 1, 1, 1, 1, 1]]))  # k = 1
 def test_subset_dfs_matches_reference(C):
     assert list(iter_subset_ranks(C)) == list(subset_ranks(C))
+
+
+@st.composite
+def rank_queries(draw):
+    """A code of any k <= n with a column mask and a stop in [0, k + 2]."""
+    C = draw(codes(max_n=10, max_words=9**10))
+    return C, draw(st.integers(0, (1 << C.n) - 1)), draw(st.integers(0, C.k + 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rank_queries())
+@example((make_code(9, [[0, 5, 8, 3]]), 0b0111, 1))  # k = 1 and a zero column
+@example((make_code(3, [[1, 0, 2, 0], [0, 1, 1, 0]]), 0b1001, 0))  # a zero column
+@example((make_code(7, [[3, 0, 0], [0, 2, 6], [0, 4, 2]]), 0b110, 2))  # k = n
+@example((make_code(2, [[1, 1, 1, 1, 1, 1]]), 0b100100, 3))  # k = 1
+def test_subset_rank_matches_reference(query):
+    # the drawn mask, the empty mask and the full mask
+    C, mask, stop = query
+    for m in (mask, 0, (1 << C.n) - 1):
+        rank = column_rank(C, m)
+        assert subset_rank(C, m) == rank
+        assert subset_rank(C, m, stop) == min(stop, rank)
 
 
 @settings(max_examples=100, deadline=None)
@@ -111,12 +96,36 @@ def test_subset_dfs_matches_reference(C):
 def test_binary_rank_matches_generic(C, data):
     for _ in range(5):
         cols = data.draw(st.lists(st.integers(0, C.n - 1), max_size=C.n + 2))
-        assert subset_rank(C, cols) == code_mod._generic_rank(C, cols)
+        mask = sum(1 << j for j in set(cols))  # a repeated column is one bit
+        stop = data.draw(st.integers(0, C.k + 1))
+        assert subset_rank(C, mask) == code_mod._generic_rank(C, mask, C.k)
+        assert subset_rank(C, mask, stop) == code_mod._generic_rank(C, mask, stop)
 
 
 @settings(max_examples=60, deadline=None)
 @given(codes(fields=(2,), max_n=12, halves=True))
 def test_binary_disjoint_bases_match_generic(C):
     packed = matroid_mod.find_two_disjoint_bases(C)
-    with mock.patch.object(matroid_mod, "subset_rank", code_mod._generic_rank):
+
+    def generic(C, mask):
+        return code_mod._generic_rank(C, mask, C.k)
+
+    with mock.patch.object(matroid_mod, "subset_rank", generic):
         assert packed == matroid_mod.find_two_disjoint_bases(C)
+
+
+@st.composite
+def matrices(draw):
+    """A matrix over one of the seven fields, of any rank, rows and zero
+    rows included."""
+    field = field_new(draw(st.sampled_from(SUPPORTED_Q)))
+    ncols = draw(st.integers(1, 8))
+    row = st.lists(st.integers(0, field.q - 1), min_size=ncols, max_size=ncols)
+    return field, draw(st.lists(row, max_size=6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+def test_rref_rank_matches_reference(case):
+    field, matrix = case
+    assert rref_rank(field, matrix) == reference_rref_rank(field, matrix)

@@ -160,6 +160,17 @@ def test_a_bound_corpus(corpus):
         assert report["bound_holds"]
 
 
+@pytest.mark.parametrize("q,n", [(2, 2), (7, 6), (5, 5)])
+def test_a_bound_not_applicable_at_d_equals_n(q, n):
+    # an [n, 1, n] MDS code: the relation would read the count of weight n + 1
+    P, wd = _zeta_of(make_mds_code(q, n, 1))
+    assert wd.d == n
+    report = a_coefficient_bound(P, normalize(wd).a_list)
+    assert report["relation_holds"] is None
+    assert report["relation_not_applicable"] == "d = n"
+    assert report["bound_holds"]
+
+
 def test_a_bound_rejects_zero_constant():
     P = ZetaPolynomial(P=UniPoly([0, 1]), q=2, n=4, k=2, d=2, d_dual=2)
     with pytest.raises(StructuralError):
