@@ -49,6 +49,15 @@ class LinearCode:
             for j in range(self.n)
         )
 
+    @cached_property
+    def _packed_echelon(self):
+        # for q = 2: the pivot columns as an n-bit mask, and the reduced
+        # echelon rows as (pivot bit, n-bit int) pairs, bit j from column j
+        _, rows, pivots = rref_rank(self.field, self.generator)
+        packed = [sum(v << j for j, v in enumerate(row)) for row in rows]
+        bits = [1 << j for j in pivots]
+        return sum(bits), tuple(zip(bits, packed))
+
 
 @dataclass(frozen=True)
 class WeightDistribution:
@@ -223,10 +232,15 @@ class _PackedVectors:
         return a ^ b if self.p == 2 else self._reduce(a + b)
 
     def add_all(self, words, v):
-        """[w + v for w in words]."""
+        """[w + v for w in words], `_reduce` taken apart into one C-level
+        `map` per step."""
         if self.p == 2:
             return list(map(operator.xor, words, repeat(v)))
-        return list(map(self._reduce, map(operator.add, words, repeat(v))))
+        sums = list(map(operator.add, words, repeat(v)))
+        carries = map(operator.and_, map(operator.add, sums, repeat(self.carry_add)),
+                      repeat(self.carry_mask))
+        carries = map(operator.rshift, carries, repeat(self.digit - 1))
+        return list(map(operator.sub, sums, map(operator.mul, carries, repeat(self.p))))
 
     def tally(self, counter, offset, words):
         """Count the weights of offset + w over a subspace of words.
@@ -310,31 +324,33 @@ def _min_weight(counts):
     return next((i for i in range(1, len(counts)) if counts[i]), len(counts))
 
 
-def _krawtchouk(q, n):
-    """Rows K_0 .. K_n of Krawtchouk values, K_j[i] = K_j(i) =
-    sum_s (-1)^s (q-1)^(j-s) C(i, s) C(n-i, j-s), by the three-term recurrence
-    (j+1) K_{j+1}(i) = [(q-1)(n-j) + j - q i] K_j(i) - (q-1)(n-j+1) K_{j-1}(i),
-    in O(n^2) integer steps."""
-    prev, cur = [0] * (n + 1), [1] * (n + 1)
-    rows = [cur]
+def _krawtchouk_sums(q, n, counts):
+    """sum_i A_i K_j(i) for j = 0 .. n, where
+    K_j(i) = sum_s (-1)^s (q-1)^(j-s) C(i, s) C(n-i, j-s) is the Krawtchouk
+    value, by the three-term recurrence
+    (j+1) K_{j+1}(i) = [(q-1)(n-j) + j - q i] K_j(i) - (q-1)(n-j+1) K_{j-1}(i)
+    run on the products A_i K_j(i), only at the weights i with A_i nonzero:
+    O(n) integer steps per such weight."""
+    support = [i for i, a in enumerate(counts) if a]
+    slopes = [q * i for i in support]
+    prev, cur = [0] * len(support), [counts[i] for i in support]
+    sums = [sum(cur)]
     for j in range(n):
         a, b = (q - 1) * (n - j) + j, (q - 1) * (n - j + 1)
         prev, cur = cur, [
-            ((a - q * i) * c - b * p) // (j + 1)
-            for i, (c, p) in enumerate(zip(cur, prev))
+            ((a - s) * c - b * p) // (j + 1) for s, c, p in zip(slopes, cur, prev)
         ]
-        rows.append(cur)
-    return rows
+        sums.append(sum(cur))
+    return sums
 
 
 def macwilliams_counts(q, n, k, counts):
     """Dual weight distribution via the MacWilliams transform on counts:
-    the Krawtchouk table times the counts, over q^k."""
+    sum_i A_i K_j(i) over q^k for each j."""
     size = q**k
-    support = [(i, a) for i, a in enumerate(counts) if a]
     out = []
-    for row in _krawtchouk(q, n):
-        acc, rem = divmod(sum(a * row[i] for i, a in support), size)
+    for total in _krawtchouk_sums(q, n, counts):
+        acc, rem = divmod(total, size)
         if rem:
             raise ValueError("MacWilliams transform produced a non-integral count")
         if acc < 0:
@@ -401,23 +417,29 @@ def _xor_reduce(basis, x):
     return basis + ((x & -x, x),) if x else basis
 
 
-def _binary_rank(columns, mask, stop):
-    """Rank over GF(2) of the packed columns whose bits are set in mask, in
-    an XOR basis keyed by leading bit; stops once it reaches `stop`."""
-    basis = {}
-    rank = 0
-    while mask and rank < stop:
-        low = mask & -mask
-        mask ^= low
-        x = columns[low.bit_length() - 1]
-        while x:
-            lead = x.bit_length()
-            b = basis.get(lead)
-            if b is None:
-                basis[lead] = x
-                rank += 1
-                break
-            x ^= b
+def _binary_rank(C, mask, stop):
+    """Rank over GF(2) of the columns in mask, read off the reduced echelon
+    rows: each pivot column in mask is a unit vector, so
+    r(A) = |A ∩ pivots| + the rank of the rows whose pivot lies outside A,
+    read on A (where they are zero at A's pivot columns). Those rows are
+    reduced as in `_xor_reduce` until the rank reaches `stop`."""
+    pivots, rows = C._packed_echelon
+    rank = (mask & pivots).bit_count()
+    if rank >= stop:
+        return stop
+    basis = []
+    for bit, row in rows:
+        if mask & bit:
+            continue
+        x = row & mask
+        for low, v in basis:
+            if x & low:
+                x ^= v
+        if x:
+            rank += 1
+            if rank == stop:
+                return rank
+            basis.append((x & -x, x))
     return rank
 
 
@@ -433,12 +455,14 @@ def _generic_rank(C, mask, stop):
 
 def subset_rank(C, mask, stop=None):
     """min(stop, rank) of the generator columns whose bits are set in mask
-    (bit j is column j), for stop >= 0. The walk over the columns ends once
-    the rank reaches `stop`, which defaults to k, the largest rank there is."""
+    (bit j is column j), for stop >= 0; `stop` defaults to k, the largest
+    rank there is. For q = 2 the rank is read off the reduced echelon rows
+    (`_binary_rank`); otherwise the walk over the columns ends once the rank
+    reaches `stop`."""
     if stop is None:
         stop = C.k
     if C.q == 2:
-        return _binary_rank(C._packed_columns, mask, stop)
+        return _binary_rank(C, mask, stop)
     return _generic_rank(C, mask, stop)
 
 

@@ -37,11 +37,15 @@ class AveragedDistribution:
 
 
 def normalize_counts(q, n, counts):
-    a_list = [Fraction(counts[w]) / comb(n, w) for w in range(n + 1)]
+    """The normalized enumerator of counts A_0 .. A_n (ints or Fractions),
+    each a_w built as one Fraction A_w / C(n, w), and each coefficient of
+    a(t) as one Fraction A_w / ((q-1) C(n, w))."""
+    binoms = [comb(n, w) for w in range(n + 1)]
+    a_list = [Fraction(c, b) for c, b in zip(counts, binoms)]
     d = _min_weight(a_list)
     if d > n:
         raise ValueError("no nonzero weight to normalize")
-    a_poly = UniPoly([a_list[d + j] / (q - 1) for j in range(n - d + 1)])
+    a_poly = UniPoly([Fraction(counts[w], (q - 1) * binoms[w]) for w in range(d, n + 1)])
     return NormalizedEnumerator(q=q, n=n, d=d, a_list=tuple(a_list), a_poly=a_poly)
 
 

@@ -23,7 +23,8 @@ class UniPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [Fraction(c) for c in coeffs]
+        # a Fraction is kept as it is: one Fraction per coefficient
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -96,10 +97,20 @@ class UniPoly:
         return result
 
     def __call__(self, x):
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        """The value at x (an int or a Fraction a/b), by Horner's rule on
+        integers: with D the lcm of the coefficient denominators,
+        sum_i c_i x^i = sum_i (D c_i) a^i b^(deg-i) / (D b^deg); one Fraction."""
+        cs = self.coeffs
+        if not cs:
+            return Fraction(0)
+        x = Fraction(x)
+        a, b = x.numerator, x.denominator
+        D = lcm(*(c.denominator for c in cs))
+        acc, power = 0, 1  # power = b^(deg-i) at c_i
+        for c in reversed(cs):
+            acc = acc * a + c.numerator * (D // c.denominator) * power
+            power *= b
+        return Fraction(acc, D * power // b)
 
     def truncated(self, order):
         return TruncatedSeries(order, self.coeffs[: order + 1])

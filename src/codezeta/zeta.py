@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import comb, lcm
+from operator import mul
 
 from .exactmath import BiPoly, RatFun, UniPoly, ratfun_equal
 
@@ -73,23 +74,29 @@ def zeta_from_enumerator_def1(A):
     A_i/(q-1). Entry (i, l) of this system in p_0 .. p_(n-d) is C(n, i) c_j,
     c_j the T^j coefficient of (1-T)^(i-1)/(1-qT) and j = i-d-l; it is zero
     for l > i-d and C(n, i) on the diagonal, so rows d..n are solved by
-    forward substitution and rows 1..d-1 demand A_i = 0. Full bivariate
-    route; used as an independent verifier."""
+    forward substitution and rows 1..d-1 demand A_i = 0. The substitution
+    runs on the integers D p_l, D = (q-1) lcm_i C(n, i), and moves from row i
+    to row i+1 by multiplying the c_j by (1-T); one Fraction per p_l. Full
+    bivariate route; used as an independent verifier."""
     q, n, d = A.q, A.n, A.d
     if any(A.counts[1:d]):
         raise CrossCheckError(
             "weight distribution is inconsistent with the direct zeta definition"
         )
+    binoms = [comb(n, i) for i in range(d, n + 1)]
+    L = lcm(*binoms)
+    # row d: c_j = q c_(j-1) + (-1)^j C(d-1, j), for every j <= n-d
+    c = [1]
+    for j in range(1, n - d + 1):
+        c.append(q * c[-1] + (-1) ** j * comb(d - 1, j))
     p = []
-    for i in range(d, n + 1):
-        # c_j = q c_(j-1) + (-1)^j C(i-1, j); p_l meets c_(i-d-l)
-        c = [1]
-        for j in range(1, i - d + 1):
-            c.append(q * c[-1] + (-1) ** j * comb(i - 1, j))
-        acc = Fraction(A.counts[i], (q - 1) * comb(n, i))
-        p.append(acc - sum(pl * cj for pl, cj in zip(p, reversed(c))))
+    for count, binom in zip(A.counts[d:], binoms):
+        # p_l meets c_(i-d-l)
+        p.append(count * (L // binom) - sum(map(mul, p, reversed(c[: len(p) + 1]))))
+        c = [c[0]] + [b - a for a, b in zip(c, c[1:])]
+    D = (q - 1) * L
     return ZetaPolynomial(
-        P=UniPoly(p), q=q, n=n, k=A.k, d=d, d_dual=A.d_dual
+        P=UniPoly([Fraction(v, D) for v in p]), q=q, n=n, k=A.k, d=d, d_dual=A.d_dual
     )
 
 

@@ -2,7 +2,9 @@
 the subset-rank DFS and point ranks, the table-driven row reduction, the
 dimension-first classification, the Gleason-basis extremal synthesis, the
 closed-form zeta and ultraspherical constructions and the Newton
-interpolation of `codezeta` are tested against."""
+interpolation of `codezeta` are tested against, among them routes that
+`codezeta` used before: the binary column walk and the full Krawtchouk
+table."""
 
 import itertools
 import math
@@ -219,6 +221,29 @@ def column_rank(C, mask):
     return len(basis)
 
 
+def binary_column_rank(C, mask, stop):
+    """min(stop, rank) over GF(2) of the columns whose bits are set in mask:
+    each column packed into a k-bit int (bit i from row i) and put into an
+    XOR basis keyed by leading bit, walking the columns until the rank
+    reaches `stop`."""
+    columns = [sum(row[j] << i for i, row in enumerate(C.generator)) for j in range(C.n)]
+    basis = {}
+    rank = 0
+    while mask and rank < stop:
+        low = mask & -mask
+        mask ^= low
+        x = columns[low.bit_length() - 1]
+        while x:
+            lead = x.bit_length()
+            b = basis.get(lead)
+            if b is None:
+                basis[lead] = x
+                rank += 1
+                break
+            x ^= b
+    return rank
+
+
 def rref_rank(field, matrix):
     """(rank, rref rows, pivot columns) over GF(q) by the field's methods."""
     rows = [list(r) for r in matrix]
@@ -266,6 +291,23 @@ def krawtchouk(q, n, j, i):
         (-1) ** s * (q - 1) ** (j - s) * math.comb(i, s) * math.comb(n - i, j - s)
         for s in range(max(0, j - (n - i)), min(i, j) + 1)
     )
+
+
+def krawtchouk_table(q, n):
+    """Rows K_0 .. K_n of Krawtchouk values, K_j[i] = K_j(i), by the
+    three-term recurrence
+    (j+1) K_{j+1}(i) = [(q-1)(n-j) + j - q i] K_j(i) - (q-1)(n-j+1) K_{j-1}(i)
+    at every i, in O(n^2) integer steps."""
+    prev, cur = [0] * (n + 1), [1] * (n + 1)
+    rows = [cur]
+    for j in range(n):
+        a, b = (q - 1) * (n - j) + j, (q - 1) * (n - j + 1)
+        prev, cur = cur, [
+            ((a - q * i) * c - b * p) // (j + 1)
+            for i, (c, p) in enumerate(zip(cur, prev))
+        ]
+        rows.append(cur)
+    return rows
 
 
 def macwilliams(q, n, k, counts):

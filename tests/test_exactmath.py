@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from codezeta.exactmath import (
@@ -34,6 +34,27 @@ def test_unipoly_arithmetic():
     assert p(2) == 1 + 4 + 12
     assert UniPoly([0, 1]) ** 3 == UniPoly([0, 0, 0, 1])
     assert p.degree == 2 and UniPoly().degree == -1
+
+
+def _fraction_horner(p, x):
+    acc = Fraction(0)
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+@given(
+    st.lists(rationals, max_size=8),
+    st.one_of(st.integers(-50, 50), rationals),
+)
+@example([], 3)  # the zero polynomial
+@example([], Fraction(-2, 7))
+@example([Fraction(1, 3), 0, Fraction(-5, 2)], -4)
+def test_unipoly_call_matches_fraction_horner(coeffs, x):
+    p = UniPoly(coeffs)
+    value = p(x)
+    assert type(value) is Fraction
+    assert value == _fraction_horner(p, x)
 
 
 def test_unipoly_trims_leading_zeros():

@@ -1,5 +1,5 @@
 """The shared formulas of `codezeta` against plain references: the
-Krawtchouk table behind MacWilliams, the MacWilliams transform, and the
+Krawtchouk recurrence behind MacWilliams, the MacWilliams transform, and the
 Greene substitution."""
 
 import random
@@ -9,7 +9,7 @@ import pytest
 import reference
 from codezeta.code import (
     LinearCode,
-    _krawtchouk,
+    _krawtchouk_sums,
     macwilliams_counts,
     rref_rank,
 )
@@ -19,11 +19,18 @@ from codezeta.matroid import greene_weight_enumerator, rank_gen_poly
 
 @pytest.mark.parametrize("q", SUPPORTED_Q)
 def test_krawtchouk_table_matches_the_direct_sum(q):
+    # column i of the table is the sums on the counts with A_i = 1 alone
     for n in [*range(41), 96]:
-        assert _krawtchouk(q, n) == [
+        table = [
             [reference.krawtchouk(q, n, j, i) for i in range(n + 1)]
             for j in range(n + 1)
         ]
+        assert reference.krawtchouk_table(q, n) == table
+        columns = [
+            _krawtchouk_sums(q, n, [int(w == i) for w in range(n + 1)])
+            for i in range(n + 1)
+        ]
+        assert [list(row) for row in zip(*columns)] == table
 
 
 def _random_code(rng, q, n, k):
@@ -71,6 +78,10 @@ def test_macwilliams_counts_matches_the_reference(q):
             outcomes.add(expected)
         else:
             assert macwilliams_counts(q, n, k, counts) == expected
+            table = reference.krawtchouk_table(q, n)  # the full-table route
+            assert expected == [
+                sum(a * row[i] for i, a in enumerate(counts)) // q**k for row in table
+            ]
             outcomes.add("valid")
     assert "valid" in outcomes and len(outcomes) >= 2
 

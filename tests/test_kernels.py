@@ -1,6 +1,7 @@
 """The kernels of `codezeta.code` against plain references: codeword
 enumeration, the subset-rank DFS, the point ranks and the row reduction in
-every field, and the binary column-rank paths against the generic ones."""
+every field, and the binary echelon-row rank against the column walk and the
+generic reduction."""
 
 import random
 import tracemalloc
@@ -19,7 +20,7 @@ from codezeta.code import (
     weight_distribution,
 )
 from codezeta.gf import SUPPORTED_Q, field_new
-from reference import column_rank, enumerate_counts, subset_ranks
+from reference import binary_column_rank, column_rank, enumerate_counts, subset_ranks
 from reference import rref_rank as reference_rref_rank
 from strategies import codes, make_code
 
@@ -91,15 +92,48 @@ def test_subset_rank_matches_reference(query):
         assert subset_rank(C, m, stop) == min(stop, rank)
 
 
+@st.composite
+def binary_rank_queries(draw):
+    """A binary code with n <= 30 and k <= 14 (so 2k < n at n = 29, 30) and
+    five column masks."""
+    C = draw(codes(fields=(2,), max_n=30, max_words=1 << 14))
+    column = st.integers(0, C.n - 1)
+    # a repeated column is one bit
+    masks = [sum(1 << j for j in set(draw(st.lists(column, max_size=C.n + 2))))
+             for _ in range(5)]
+    return C, masks
+
+
 @settings(max_examples=100, deadline=None)
-@given(codes(fields=(2,), max_n=14), st.data())
-def test_binary_rank_matches_generic(C, data):
-    for _ in range(5):
-        cols = data.draw(st.lists(st.integers(0, C.n - 1), max_size=C.n + 2))
-        mask = sum(1 << j for j in set(cols))  # a repeated column is one bit
-        stop = data.draw(st.integers(0, C.k + 1))
+@given(binary_rank_queries())
+@example((make_code(2, [[1, 0, 0], [0, 1, 0], [1, 1, 1]]), [0b101, 0b111]))  # k = n
+@example((make_code(2, [[1, 1, 0, 1, 1]]), [0b00100, 0b01100, 0]))  # k = 1, a zero column
+@example((make_code(2, [[1, 0, 1, 0, 1, 1], [0, 1, 1, 0, 0, 1]]), [0b001000, 0b101010]))
+def test_binary_rank_matches_generic(query):
+    # the echelon-row rank against the column walk and the generic reduction,
+    # at every stop from 0 to k + 1
+    C, masks = query
+    for mask in masks:
         assert subset_rank(C, mask) == code_mod._generic_rank(C, mask, C.k)
-        assert subset_rank(C, mask, stop) == code_mod._generic_rank(C, mask, stop)
+        for stop in range(C.k + 2):
+            expected = binary_column_rank(C, mask, stop)
+            assert subset_rank(C, mask, stop) == expected
+            assert code_mod._generic_rank(C, mask, stop) == expected
+
+
+def test_sampled_clifford_matches_the_column_walk():
+    # a systematic binary [28, 10] code; every seed draws its own 1500 masks
+    rng = random.Random(28)
+    n, k = 28, 10
+    C = make_code(2, [
+        [int(j == i) if j < k else rng.randrange(2) for j in range(n)] for i in range(k)
+    ])
+    for seed in range(4):
+        report = matroid_mod.clifford_check(C, mode="sample", count=1500, seed=seed)
+        with mock.patch.object(matroid_mod, "subset_rank", binary_column_rank):
+            assert report == matroid_mod.clifford_check(
+                C, mode="sample", count=1500, seed=seed
+            )
 
 
 @settings(max_examples=60, deadline=None)
