@@ -170,6 +170,18 @@ def test_console_entry_point():
     assert json.loads(proc.stdout)["d"] == 3
 
 
+def test_zeta_functional_equation_not_applicable_below_distance_2(tmp_path, capsys):
+    # d = d_dual = 1: the functional equation is not claimed, so zeta exits 0
+    path = tmp_path / "degenerate.code"
+    path.write_text("2 3 1\n1 0 0\n")
+    assert run(["--json", "zeta", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["functional_equation"] is None
+    assert report["functional_equation_not_applicable"] == "needs d, d_dual >= 2"
+    assert run(["--json", "zeta", HAMMING]) == 0
+    assert "functional_equation_not_applicable" not in json.loads(capsys.readouterr().out)
+
+
 NUMPY_PROBE = """
 import contextlib, io, sys
 from codezeta.cli import run
