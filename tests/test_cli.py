@@ -170,6 +170,17 @@ def test_console_entry_point():
     assert json.loads(proc.stdout)["d"] == 3
 
 
+@pytest.mark.parametrize("stem", ["hamming74", "code10"])
+def test_main_exits_with_the_golden_report(stem):
+    # main() hands run()'s exit code to sys.exit: 0 for hamming74, 1 for code10
+    golden = FIXTURES.parent / "golden"
+    code_file = str(FIXTURES / f"{stem}.code")
+    proc = _run_child("-m", "codezeta.cli", "--json", "report", code_file)
+    exits = json.loads((golden / "exit_codes.json").read_text())
+    assert proc.returncode == exits[f"{stem}.report"]
+    assert proc.stdout == (golden / f"{stem}.report.json").read_text()
+
+
 def test_zeta_functional_equation_not_applicable_below_distance_2(tmp_path, capsys):
     # d = d_dual = 1: the functional equation is not claimed, so zeta exits 0
     path = tmp_path / "degenerate.code"
