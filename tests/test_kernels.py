@@ -108,6 +108,7 @@ def binary_rank_queries(draw):
 @given(binary_rank_queries())
 @example((make_code(2, [[1, 0, 0], [0, 1, 0], [1, 1, 1]]), [0b101, 0b111]))  # k = n
 @example((make_code(2, [[1, 1, 0, 1, 1]]), [0b00100, 0b01100, 0]))  # k = 1, a zero column
+# a zero column
 @example((make_code(2, [[1, 0, 1, 0, 1, 1], [0, 1, 1, 0, 0, 1]]), [0b001000, 0b101010]))
 def test_binary_rank_matches_generic(query):
     # the echelon-row rank against the column walk and the generic reduction,
