@@ -1,5 +1,8 @@
-"""`--json` output and exit code of every file command on every fixture must
-stay byte-identical to the recorded files in tests/golden/.
+"""`--json` output and exit code of every file command on every fixture, and
+the plain `report` output of every fixture, must stay byte-identical to the
+recorded files in tests/golden/. JSON sorts its keys; the plain output prints
+them in the order the report builds them, so it is the one that sees a change
+of key order.
 
 A deliberate change of output is recorded again with
 
@@ -29,17 +32,14 @@ COMMANDS = {
     "clifford-sample": ["clifford", "--sample", "50", "--seed", "3"],
     "report": ["report"],
 }
-CASES = [
-    (fixture.stem, name)
-    for fixture in sorted(FIXTURES.glob("*.code"))
-    for name in COMMANDS
-]
+STEMS = sorted(fixture.stem for fixture in FIXTURES.glob("*.code"))
+CASES = [(stem, name) for stem in STEMS for name in COMMANDS]
 
 
-def invoke(stem, name):
-    """(exit code, stdout) of one `--json` invocation."""
-    argv = ["--json", *COMMANDS[name][:1], str(FIXTURES / f"{stem}.code"),
-            *COMMANDS[name][1:]]
+def invoke(stem, name, plain=False):
+    """(exit code, stdout) of one `--json` invocation, or a plain one."""
+    argv = [*([] if plain else ["--json"]), *COMMANDS[name][:1],
+            str(FIXTURES / f"{stem}.code"), *COMMANDS[name][1:]]
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = run(argv)
@@ -54,6 +54,14 @@ def test_golden_output(stem, name):
     assert out == (GOLDEN / f"{stem}.{name}.json").read_text()
 
 
+@pytest.mark.parametrize("stem", STEMS)
+def test_golden_plain_report(stem):
+    exits = json.loads((GOLDEN / "exit_codes.json").read_text())
+    code, out = invoke(stem, "report", plain=True)
+    assert code == exits[f"{stem}.report"]
+    assert out == (GOLDEN / f"{stem}.report.txt").read_text()
+
+
 def record():
     GOLDEN.mkdir(exist_ok=True)
     exits = {}
@@ -61,6 +69,9 @@ def record():
         code, out = invoke(stem, name)
         exits[f"{stem}.{name}"] = code
         (GOLDEN / f"{stem}.{name}.json").write_text(out)
+    for stem in STEMS:
+        _, out = invoke(stem, "report", plain=True)
+        (GOLDEN / f"{stem}.report.txt").write_text(out)
     (GOLDEN / "exit_codes.json").write_text(
         json.dumps(exits, sort_keys=True, indent=2) + "\n"
     )
