@@ -84,7 +84,10 @@ class CodeAnalysis:
         The dimensions decide first: C contains C-perp only if 2k >= n, and
         the two share a weight distribution (q^k words against q^(n-k)) only
         if 2k = n. So the dual is built only when 2k >= n, and the weights
-        are read only when 2k = n and C neither equals nor contains it."""
+        are read only when 2k = n and C neither equals nor contains it.
+        When the enumeration guard refuses them the label is "undetermined";
+        like "formally-self-dual" and "other" it claims nothing in the
+        Clifford check."""
         C = self.code
         if 2 * C.k < C.n or C.k == C.n:
             return "other"
@@ -93,7 +96,10 @@ class CodeAnalysis:
             return relation
         if 2 * C.k > C.n:
             return "other"
-        same = self.wd.counts == self.wd.dual_counts
+        try:
+            same = self.wd.counts == self.wd.dual_counts
+        except code_mod.CapacityError:
+            return "undetermined"
         return "formally-self-dual" if same else "other"
 
     def clifford(self, mode="exhaustive", count=1000, seed=0):

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -71,6 +72,26 @@ def test_clifford_violation_exit_1(capsys):
 def test_clifford_sample(capsys):
     assert run(["clifford", EXT_HAMMING, "--sample", "50", "--seed", "3"]) == 0
     assert "subsets_checked: 50" in capsys.readouterr().out
+
+
+def test_sampled_clifford_past_the_enumeration_guard(tmp_path, capsys):
+    # a systematic q=9 [20,10] code: 9^10 words lie past the 2^28 guard, so
+    # the weights that would tell "formally-self-dual" from "other" are
+    # refused, but the sampled ranks are not
+    rng = random.Random(20)
+    rows = [
+        [int(j == i) for j in range(10)] + [rng.randrange(9) for _ in range(10)]
+        for i in range(10)
+    ]
+    path = tmp_path / "q9_20_10.code"
+    path.write_text("9 20 10\n" + "".join(" ".join(map(str, r)) + "\n" for r in rows))
+    assert run(["--json", "clifford", str(path), "--sample", "20"]) in (0, 1)
+    report = json.loads(capsys.readouterr().out)
+    assert report["classification"] == "undetermined"
+    assert report["decompositions"] == []
+    assert report["ok"] == (not report["violations"])
+    assert run(["--json", "weights", str(path)]) == 2
+    assert "exceeds the 2^28 guard" in capsys.readouterr().err
 
 
 def test_extremal_command(capsys):
