@@ -124,7 +124,7 @@ def cmd_twovar(an, args):
             "Z": _ratfun(Z.value, vars=("T", "u")),
             "g": g,
             "compatible_with_one_variable": compat,
-            "functional_equation_exploratory": zeta_mod.two_var_functional_eq(Z),
+            "functional_equation_exploratory": zeta_mod.two_var_functional_eq(an.Wn_plus),
         }
     )
     return report, compat

@@ -158,28 +158,22 @@ def rref_rank(field, matrix):
     return rank, tuple(tuple(r) for r in rows), tuple(pivots)
 
 
-def nullspace(field, matrix):
-    """Basis of {v : matrix . v = 0} over GF(q)."""
-    nrows = len(matrix)
-    ncols = len(matrix[0]) if nrows else 0
-    rank, rref, pivots = rref_rank(field, matrix)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for j in free:
-        v = [0] * ncols
-        v[j] = 1
-        for r, p in enumerate(pivots):
-            v[p] = field.neg(rref[r][j])
-        basis.append(tuple(v))
-    return basis
-
-
 def dual_code(C):
-    """The [n, n-k] dual: generator spanning the null space of C's generator."""
+    """The [n, n-k] dual: generator spanning the null space of C's generator,
+    one vector per free column j of its reduced echelon form (1 at j, minus
+    column j of the echelon rows at the pivots)."""
     field = C.field
     if C.k == C.n:
         raise ValueError("the full space has a trivial dual with k=0")
-    basis = nullspace(field, C.generator)
+    _, rref, pivots = rref_rank(field, C.generator)
+    basis = []
+    for j in range(C.n):
+        if j not in pivots:
+            v = [0] * C.n
+            v[j] = 1
+            for row, p in zip(rref, pivots):
+                v[p] = field.neg(row[j])
+            basis.append(tuple(v))
     return LinearCode(field=field, n=C.n, k=C.n - C.k, generator=tuple(basis))
 
 

@@ -15,7 +15,6 @@ from .code import (
     CapacityError,
     contains_code,
     iter_subset_ranks,
-    nullspace,
     subset_rank,
 )
 from .exactmath import BiPoly, RatFun
@@ -202,29 +201,6 @@ def puncture_shorten_wn(Wn, which):
     raise ValueError("which must be 'puncture' or 'shorten'")
 
 
-def _support_subcode(C, inside):
-    """Basis of codewords of C supported inside the column set `inside`."""
-    outside = [j for j in range(C.n) if j not in inside]
-    if outside:
-        gen_out = [[row[j] for j in outside] for row in C.generator]
-        transposed = [list(col) for col in zip(*gen_out)]
-        messages = nullspace(C.field, transposed)
-    else:
-        messages = [
-            tuple(1 if i == r else 0 for i in range(C.k)) for r in range(C.k)
-        ]
-    field = C.field
-    words = []
-    for m in messages:
-        word = [0] * C.n
-        for i, mi in enumerate(m):
-            if mi:
-                for j in range(C.n):
-                    word[j] = field.add(word[j], field.mul(mi, C.generator[i][j]))
-        words.append(tuple(word))
-    return words
-
-
 def dual_relation(C, dual):
     """'self-dual' or 'contains-dual' when C equals or contains its dual,
     else None. One elimination decides both: C contains its dual, and equals
@@ -303,27 +279,33 @@ def _mask_cols(mask, n):
 
 
 def _decomposition_report(C, mask, size, rank):
-    cols = set(_mask_cols(mask, C.n))
-    comp = set(range(C.n)) - cols
-    sub_a = _support_subcode(C, cols)
-    sub_b = _support_subcode(C, comp)
-    support_a = set()
-    for w in sub_a:
-        support_a |= {j for j, v in enumerate(w) if v}
-    support_b = set()
-    for w in sub_b:
-        support_b |= {j for j, v in enumerate(w) if v}
+    """The split of C along the column set A of `mask`, with rank r(A) =
+    `rank`, read off the ranks. The words supported inside A form a subcode
+    of dimension k - r(E∖A), those inside the complement one of dimension
+    k - r(A), and column j of A lies in the support of the first exactly
+    when it raises the rank of E∖A (and likewise for the complement)."""
+    comp = ((1 << C.n) - 1) ^ mask
+    comp_rank = subset_rank(C, comp)
+    dim_a, dim_b = C.k - comp_rank, C.k - rank
     dim_formula = size - rank  # dual-subcode dimension from corank/nullity duality
+
+    def fills(cols, other, other_rank):
+        # every column of `cols` lies in the support of the subcode on `cols`
+        return all(
+            subset_rank(C, other | 1 << j, stop=other_rank + 1) > other_rank
+            for j in _mask_cols(cols, C.n)
+        )
+
     ok = (
-        len(sub_a) + len(sub_b) == C.k
-        and support_a == cols
-        and support_b == comp
-        and len(sub_a) == dim_formula
+        dim_a + dim_b == C.k
+        and dim_a == dim_formula
+        and fills(mask, comp, comp_rank)
+        and fills(comp, mask, rank)
     )
     return {
-        "subset": sorted(cols),
-        "dim_on_subset": len(sub_a),
-        "dim_on_complement": len(sub_b),
+        "subset": _mask_cols(mask, C.n),
+        "dim_on_subset": dim_a,
+        "dim_on_complement": dim_b,
         "dim_formula": dim_formula,
         "ok": ok,
     }

@@ -9,7 +9,7 @@ from itertools import accumulate
 from math import comb, lcm
 from operator import mul
 
-from .exactmath import BiPoly, RatFun, UniPoly, ratfun_equal
+from .exactmath import BiPoly, RatFun, UniPoly
 
 
 class CrossCheckError(RuntimeError):
@@ -201,31 +201,14 @@ def check_two_var_compat(Z, P):
     return num_t * one_var_den == den_t * P.P
 
 
-def two_var_functional_eq(Z):
+def two_var_functional_eq(Wn_plus):
     """Exploratory check of Z(T,u) = Z(1/(uT), u) u^(g-1) T^(2g-2).
 
-    The relation is known for curves; for codes this simply reports whether
-    it happens to hold. Not asserted anywhere.
+    Under (x, y) = (uT, 1/T), the map T -> 1/(uT) swaps x and y, and the
+    relation reads W_n^+(x, y) = W_n^+(y, x). The denominator (1-x)(1-y) is
+    symmetric, so it holds exactly when the numerator of W_n^+ is. The
+    relation is known for curves; for codes this simply reports whether it
+    happens to hold. Not asserted anywhere.
     """
-    g = Z.g
-
-    def flip(poly, t_shift, u_shift):
-        out = {}
-        for (a, b), c in poly.terms.items():
-            key = (t_shift - a, b + u_shift - a)
-            out[key] = out.get(key, Fraction(0)) + c
-        if any(t < 0 or u < 0 for (t, u) in out):
-            raise StructuralError("clearing exponents were too small")
-        return BiPoly(out)
-
-    exps = list(Z.value.num.terms) + list(Z.value.den.terms)
-    t_shift = max(a for a, _ in exps)
-    u_shift = max(max(a - b for (a, b) in exps), 0) + t_shift
-    num = flip(Z.value.num, t_shift, u_shift)
-    den = flip(Z.value.den, t_shift, u_shift)
-    # multiply by u^(g-1) T^(2g-2), putting negative powers in the denominator
-    if g >= 1:
-        num = num * BiPoly.monomial(2 * g - 2, g - 1)
-    else:
-        den = den * BiPoly.monomial(2 - 2 * g, 1 - g)
-    return ratfun_equal(Z.value, RatFun(num, den))
+    terms = Wn_plus.num.terms
+    return all(terms.get((j, i)) == c for (i, j), c in terms.items())

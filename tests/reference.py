@@ -2,9 +2,10 @@
 the subset-rank DFS and point ranks, the table-driven row reduction, the
 dimension-first classification, the Gleason-basis extremal synthesis, the
 closed-form zeta and ultraspherical constructions and the Newton
-interpolation of `codezeta` are tested against, among them routes that
-`codezeta` used before: the binary column walk and the full Krawtchouk
-table."""
+interpolation, the two-variable self-relation and the Clifford decomposition
+of `codezeta` are tested against, among them routes that `codezeta` used
+before: the binary column walk, the full Krawtchouk table, the flipped and
+cross-multiplied Z(T,u) and the null-space subcodes."""
 
 import itertools
 import math
@@ -12,7 +13,7 @@ from fractions import Fraction
 
 from codezeta.bounds import MALLOWS_SLOANE
 from codezeta.code import contains_code, dual_code, weight_distribution
-from codezeta.exactmath import BiPoly, UniPoly
+from codezeta.exactmath import BiPoly, RatFun, UniPoly, ratfun_equal
 from codezeta.extremal import ExtremalEnumerator, gegenbauer
 
 
@@ -404,3 +405,88 @@ def interpolate(points):
                 denom *= xs[i] - xj
         result = result + basis * (Fraction(yi) / denom)
     return result
+
+
+def nullspace(field, matrix):
+    """Basis of {v : matrix . v = 0} over GF(q), one vector per free column
+    of the reduced echelon form."""
+    ncols = len(matrix[0]) if matrix else 0
+    _, rref, pivots = rref_rank(field, matrix)
+    basis = []
+    for j in range(ncols):
+        if j not in pivots:
+            v = [0] * ncols
+            v[j] = 1
+            for r, p in enumerate(pivots):
+                v[p] = field.neg(rref[r][j])
+            basis.append(tuple(v))
+    return basis
+
+
+def two_var_functional_eq(Z):
+    """Whether Z(T,u) = Z(1/(uT), u) u^(g-1) T^(2g-2): Z flipped term by term,
+    cleared by powers of T and u, and compared by cross-multiplication."""
+    g = Z.g
+
+    def flip(poly, t_shift, u_shift):
+        return BiPoly(
+            {(t_shift - a, b + u_shift - a): c for (a, b), c in poly.terms.items()}
+        )
+
+    exps = list(Z.value.num.terms) + list(Z.value.den.terms)
+    t_shift = max(a for a, _ in exps)
+    u_shift = max(max(a - b for (a, b) in exps), 0) + t_shift
+    num = flip(Z.value.num, t_shift, u_shift)
+    den = flip(Z.value.den, t_shift, u_shift)
+    # multiply by u^(g-1) T^(2g-2), putting negative powers in the denominator
+    if g >= 1:
+        num = num * BiPoly.monomial(2 * g - 2, g - 1)
+    else:
+        den = den * BiPoly.monomial(2 - 2 * g, 1 - g)
+    return ratfun_equal(Z.value, RatFun(num, den))
+
+
+def support_subcode(C, inside):
+    """Basis of the codewords of C supported inside the column set `inside`:
+    the messages killed by the other columns, multiplied out."""
+    outside = [j for j in range(C.n) if j not in inside]
+    if outside:
+        transposed = [[row[j] for row in C.generator] for j in outside]
+        messages = nullspace(C.field, transposed)
+    else:
+        messages = [tuple(int(i == r) for i in range(C.k)) for r in range(C.k)]
+    field = C.field
+    words = []
+    for m in messages:
+        word = [0] * C.n
+        for i, mi in enumerate(m):
+            if mi:
+                for j in range(C.n):
+                    word[j] = field.add(word[j], field.mul(mi, C.generator[i][j]))
+        words.append(tuple(word))
+    return words
+
+
+def decomposition_report(C, cols, rank):
+    """The Clifford decomposition entry of the column set `cols` with rank
+    `rank`, from the subcodes on it and on its complement."""
+    cols = set(cols)
+    comp = set(range(C.n)) - cols
+    sub_a = support_subcode(C, cols)
+    sub_b = support_subcode(C, comp)
+    support_a = {j for w in sub_a for j, v in enumerate(w) if v}
+    support_b = {j for w in sub_b for j, v in enumerate(w) if v}
+    dim_formula = len(cols) - rank
+    ok = (
+        len(sub_a) + len(sub_b) == C.k
+        and support_a == cols
+        and support_b == comp
+        and len(sub_a) == dim_formula
+    )
+    return {
+        "subset": sorted(cols),
+        "dim_on_subset": len(sub_a),
+        "dim_on_complement": len(sub_b),
+        "dim_formula": dim_formula,
+        "ok": ok,
+    }

@@ -1,7 +1,9 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
 
+import reference
 from codezeta.code import (
     CapacityError,
     LinearCode,
@@ -16,6 +18,7 @@ from codezeta.code import (
     weight_distribution,
 )
 from codezeta.gf import SUPPORTED_Q, field_new
+from strategies import codes
 
 
 def test_parse_repetition():
@@ -70,6 +73,13 @@ def test_dual_of_repetition_is_itself(rep2):
 
 def test_dual_of_10_code(code10):
     assert dual_code(code10).generator == ((0, 1),)
+
+
+@settings(max_examples=100, deadline=None)
+@given(codes(max_n=8))
+def test_dual_generator_is_the_null_space_basis(C):
+    assume(C.k < C.n)
+    assert dual_code(C).generator == tuple(reference.nullspace(C.field, C.generator))
 
 
 def test_dual_of_hamming_is_simplex(hamming74):

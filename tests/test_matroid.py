@@ -1,4 +1,8 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import reference
 
 from codezeta.code import (
     CapacityError,
@@ -12,6 +16,7 @@ from codezeta.enumerator import puncture_avg, shorten_avg
 from codezeta.exactmath import ratfun_equal
 from codezeta.gf import field_new
 from codezeta.matroid import (
+    _decomposition_report,
     check_greene,
     check_greene_normalized,
     clifford_check,
@@ -23,6 +28,7 @@ from codezeta.matroid import (
     rank_gen_poly,
     wn_plus,
 )
+from strategies import codes, make_code
 
 
 def test_rank_gen_poly_hamming(hamming74):
@@ -203,3 +209,23 @@ def test_dual_relation_matches_two_eliminations(corpus):
         assert dual_relation(C, D) == expected
         seen.add(expected)
     assert None in seen
+
+
+@settings(max_examples=200, deadline=None)
+@given(codes(max_n=8), st.integers(0, (1 << 8) - 1))
+@example(make_code(5, [[1, 2, 3, 4]]), 0b0011)  # k = 1
+@example(make_code(3, [[1, 0, 0, 2], [0, 1, 0, 1]]), 0b0101)  # zero column
+@example(make_code(2, [[1, 1, 0, 0], [0, 0, 1, 1]]), 0b0011)  # 2k = n, splits
+@example(make_code(9, [[1, 0, 5, 7], [0, 1, 2, 8]]), 0b0110)  # 2k = n, MDS
+@example(make_code(7, [[1, 0, 3], [0, 1, 0], [0, 0, 1]]), 0b101)  # k = n
+@example(make_code(4, [[1, 2], [0, 1]]), 0b11)  # k = n, A = E
+def test_decomposition_matches_the_null_space_route(C, bits):
+    # any column set, not only an equality witness
+    mask = bits & ((1 << C.n) - 1)
+    cols = [j for j in range(C.n) if mask >> j & 1]
+    rank = reference.column_rank(C, mask)
+    entry = _decomposition_report(C, mask, len(cols), rank)
+    assert entry == reference.decomposition_report(C, cols, rank)
+    assert list(entry) == [
+        "subset", "dim_on_subset", "dim_on_complement", "dim_formula", "ok"
+    ]

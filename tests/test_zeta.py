@@ -1,15 +1,19 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, example, given, settings
 
 import reference
+from codezeta.analysis import CodeAnalysis
 from codezeta.bounds import MALLOWS_SLOANE
 from codezeta.code import (
     LinearCode,
     WeightDistribution,
     dual_code,
     make_mds_code,
+    parse_code,
     weight_distribution,
 )
 from codezeta.enumerator import normalize
@@ -30,6 +34,11 @@ from codezeta.zeta import (
     zeta_from_normalized,
 )
 from codezeta import matroid
+from strategies import codes, make_code
+
+ZEROCOL = parse_code(
+    (Path(__file__).parent / "fixtures" / "zerocol5_73.code").read_text()
+)
 
 
 def _zeta_of(code):
@@ -189,7 +198,29 @@ def test_two_var_zeta_hamming(hamming74):
     Wn = matroid.normalized_rank_gen(hamming74)
     Z = two_var_zeta(matroid.wn_plus(Wn), hamming74.k, hamming74.n, P.g)
     assert check_two_var_compat(Z, P)
-    assert two_var_functional_eq(Z)  # exploratory; known to hold here
+    assert two_var_functional_eq(matroid.wn_plus(Wn))  # exploratory; holds here
+
+
+@settings(max_examples=150, deadline=None)
+@given(codes(max_n=8))
+@example(make_code(5, [[1, 2, 3, 4]]))  # k = 1
+@example(make_code(3, [[1, 0, 0, 2], [0, 1, 0, 1]]))  # zero column
+@example(make_code(2, [[1, 1, 0, 0], [0, 0, 1, 1]]))  # 2k = n
+@example(make_code(9, [[1, 0, 5, 7], [0, 1, 2, 8]]))  # 2k = n, MDS
+@example(ZEROCOL)  # g = 2, g_dual = 3
+def test_self_relation_is_the_symmetry_of_wn_plus(C):
+    # the old route flips Z(T,u) and cross-multiplies; it needs P.g, and so
+    # the weights, which k = n does not have yet
+    assume(C.k < C.n)
+    an = CodeAnalysis(C)
+    Z = two_var_zeta(an.Wn_plus, C.k, C.n, an.P.g)
+    assert two_var_functional_eq(an.Wn_plus) == reference.two_var_functional_eq(Z)
+
+
+def test_self_relation_fails_for_unequal_genera():
+    an = CodeAnalysis(ZEROCOL)
+    assert (an.P.g, an.P.g_dual) == (2, 3)
+    assert not two_var_functional_eq(an.Wn_plus)
 
 
 def test_two_var_compat_corpus(corpus):
