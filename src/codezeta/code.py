@@ -226,15 +226,10 @@ class _PackedVectors:
         return a ^ b if self.p == 2 else self._reduce(a + b)
 
     def add_all(self, words, v):
-        """[w + v for w in words], `_reduce` taken apart into one C-level
-        `map` per step."""
+        """[w + v for w in words], one C-level XOR `map` for p = 2."""
         if self.p == 2:
             return list(map(operator.xor, words, repeat(v)))
-        sums = list(map(operator.add, words, repeat(v)))
-        carries = map(operator.and_, map(operator.add, sums, repeat(self.carry_add)),
-                      repeat(self.carry_mask))
-        carries = map(operator.rshift, carries, repeat(self.digit - 1))
-        return list(map(operator.sub, sums, map(operator.mul, carries, repeat(self.p))))
+        return [self._reduce(w + v) for w in words]
 
     def tally(self, counter, offset, words):
         """Count the weights of offset + w over a subspace of words.
