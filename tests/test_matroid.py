@@ -3,7 +3,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
-
 from codezeta.code import (
     CapacityError,
     LinearCode,
