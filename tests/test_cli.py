@@ -94,6 +94,32 @@ def test_sampled_clifford_past_the_enumeration_guard(tmp_path, capsys):
     assert "exceeds the 2^28 guard" in capsys.readouterr().err
 
 
+def _binary_23_11(tmp_path):
+    # a systematic binary [23, 11] code, one column past the subset guard
+    rng = random.Random(23)
+    rows = [
+        [int(j == i) for j in range(11)] + [rng.randrange(2) for _ in range(12)]
+        for i in range(11)
+    ]
+    path = tmp_path / "binary_23_11.code"
+    path.write_text("2 23 11\n" + "".join(" ".join(map(str, r)) + "\n" for r in rows))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv", [["rankgen"], ["greene"], ["twovar"], ["report"], ["clifford", "--exhaustive"]]
+)
+def test_subset_pass_past_the_guard_exits_2(tmp_path, capsys, argv):
+    assert run([*argv, _binary_23_11(tmp_path)]) == 2
+    assert "subset enumeration guarded at n <= 22" in capsys.readouterr().err
+
+
+def test_sampled_clifford_is_not_subset_guarded(tmp_path, capsys):
+    # point queries walk no subsets, so n = 23 is served
+    assert run(["--json", "clifford", _binary_23_11(tmp_path), "--sample", "20"]) == 0
+    assert json.loads(capsys.readouterr().out)["subsets_checked"] == 20
+
+
 def test_extremal_command(capsys):
     assert run(
         ["--json", "extremal", "--q", "4", "--c", "2", "--n", "12",

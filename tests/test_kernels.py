@@ -7,12 +7,14 @@ import random
 import tracemalloc
 from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from codezeta import code as code_mod
 from codezeta import matroid as matroid_mod
 from codezeta.code import (
+    CapacityError,
     LinearCode,
     iter_subset_ranks,
     rref_rank,
@@ -68,6 +70,21 @@ def test_enumeration_memory_is_bounded():
 @example(make_code(2, [[1, 1, 1, 1, 1, 1]]))  # k = 1
 def test_subset_dfs_matches_reference(C):
     assert list(iter_subset_ranks(C)) == list(subset_ranks(C))
+
+
+def test_subset_pass_guard_comes_first():
+    # n = 23 columns, one past the guard: no column is reduced
+    rng = random.Random(23)
+    unused = mock.Mock(side_effect=AssertionError("the guard must come first"))
+    for q in (2, 3):
+        C = make_code(q, [
+            [int(j == i) if j < 11 else rng.randrange(q) for j in range(23)]
+            for i in range(11)
+        ])
+        with mock.patch.object(code_mod, "_xor_reduce", unused), \
+                mock.patch.object(code_mod, "_reduce_column", unused):
+            with pytest.raises(CapacityError, match="guarded at n <= 22"):
+                matroid_mod.subset_rank_table(C)
 
 
 @st.composite
