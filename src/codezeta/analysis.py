@@ -6,7 +6,7 @@ codeword enumeration, with the dual's side from MacWilliams) and its
 computes each table at most once and derives everything else from them.
 
 The layer functions are called through their modules, so that a caller who
-replaces `code.weight_distribution` or `code.iter_subset_ranks` (to count or
+replaces `code.weight_distribution` or `code.subset_rank_table` (to count or
 time them) sees every call.
 """
 
@@ -63,7 +63,7 @@ class CodeAnalysis:
 
     @cached_property
     def subset_table(self):
-        return matroid_mod.subset_rank_table(self.code)
+        return code_mod.subset_rank_table(self.code)
 
     @cached_property
     def W(self):

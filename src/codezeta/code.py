@@ -1,10 +1,12 @@
 """Linear codes over GF(q): parsing, row reduction, duals, weight
-distributions, subset ranks and MDS fixtures."""
+distributions, subset ranks, the (size, rank) table of the column subsets
+and MDS fixtures."""
 
 from __future__ import annotations
 
 import math
 import operator
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property, partial
@@ -455,12 +457,24 @@ def subset_rank(C, mask, stop=None):
     return _generic_rank(C, mask, stop)
 
 
-def iter_subset_ranks(C):
-    """Yield (mask, size, rank) for every subset of columns, by DFS with an
-    incrementally maintained echelon basis (including column j before
-    leaving it out). The reduce step is an XOR on packed columns for q = 2
-    and `_reduce_column` otherwise; once the basis holds k vectors no column
-    can grow it, so it is reused as it is. 2^n subsets; guarded at n <= 22."""
+@dataclass(frozen=True)
+class SubsetRankTable:
+    """What one pass over the 2^n column subsets leaves behind."""
+
+    counts: dict  # (size, rank) -> number of column subsets
+    low_masks: array  # subsets with 2 r(A) <= |A|, in DFS order
+    low_ranks: array  # their ranks
+
+
+def subset_rank_table(C):
+    """Count the column subsets by (size, rank) in one DFS pass, and keep the
+    subsets with 2 r(A) <= |A|, the only ones the Clifford check reports.
+
+    The DFS keeps an incrementally maintained echelon basis and takes column
+    j before leaving it out. The reduce step is an XOR on packed columns for
+    q = 2 and `_reduce_column` otherwise; once the basis holds k vectors no
+    column can grow it, so it is reused as it is. 2^n subsets; guarded at
+    n <= 22."""
     if C.n > SUBSET_N_MAX:
         raise CapacityError(f"subset enumeration guarded at n <= {SUBSET_N_MAX}")
     n, k = C.n, C.k
@@ -468,17 +482,26 @@ def iter_subset_ranks(C):
         columns, reduce = C._packed_columns, _xor_reduce
     else:
         columns, reduce = C._columns, partial(_reduce_column, C.field)
+    counts = {}
+    low_masks = array("Q")
+    low_ranks = array("B")
     stack = [(0, 0, 0, ())]
     pop, push = stack.pop, stack.append
     while stack:
         j, mask, size, basis = pop()
         if j == n:
-            yield mask, size, len(basis)
+            rank = len(basis)
+            key = (size, rank)
+            counts[key] = counts.get(key, 0) + 1
+            if 2 * rank <= size:
+                low_masks.append(mask)
+                low_ranks.append(rank)
             continue
         push((j + 1, mask, size, basis))
         if len(basis) < k:
             basis = reduce(basis, columns[j])
         push((j + 1, mask | 1 << j, size + 1, basis))
+    return SubsetRankTable(counts=counts, low_masks=low_masks, low_ranks=low_ranks)
 
 
 def make_mds_code(q, n, k):

@@ -5,7 +5,6 @@ plain and normalized form, and the Clifford-property analysis."""
 from __future__ import annotations
 
 import random
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -14,8 +13,8 @@ from math import comb
 from .code import (
     CapacityError,
     contains_code,
-    iter_subset_ranks,
     subset_rank,
+    subset_rank_table,
 )
 from .exactmath import BiPoly, RatFun
 
@@ -32,30 +31,6 @@ class NormalizedRankGen:
     Wn: BiPoly  # same sum with each size-i layer divided by C(n, i)
     n: int
     k: int
-
-
-@dataclass(frozen=True)
-class SubsetRankTable:
-    """What one pass over the 2^n column subsets leaves behind."""
-
-    counts: dict  # (size, rank) -> number of column subsets
-    low_masks: array  # subsets with 2 r(A) <= |A|, in DFS order
-    low_ranks: array  # their ranks
-
-
-def subset_rank_table(C):
-    """Count the column subsets by (size, rank) in one DFS pass, and keep the
-    subsets with 2 r(A) <= |A|, the only ones the Clifford check reports."""
-    counts = {}
-    low_masks = array("Q")
-    low_ranks = array("B")
-    for mask, size, rank in iter_subset_ranks(C):
-        key = (size, rank)
-        counts[key] = counts.get(key, 0) + 1
-        if 2 * rank <= size:
-            low_masks.append(mask)
-            low_ranks.append(rank)
-    return SubsetRankTable(counts=counts, low_masks=low_masks, low_ranks=low_ranks)
 
 
 def rank_gen_poly(C, table=None):

@@ -195,7 +195,7 @@ def _reduce_column(field, basis, vec):
 
 def subset_ranks(C):
     """(mask, size, rank) for every column subset, in the DFS order of
-    `iter_subset_ranks` (column j taken before it is left out), reducing
+    `code.subset_rank_table` (column j taken before it is left out), reducing
     every column against a tuple echelon basis over GF(q), for every q."""
     n = C.n
     field = C.field

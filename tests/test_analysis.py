@@ -18,7 +18,7 @@ from reference import classify
 from strategies import codes, make_code
 
 FIXTURES = sorted((Path(__file__).parent / "fixtures").glob("*.code"))
-LAYER_CALLS = ("weight_distribution", "iter_subset_ranks")
+LAYER_CALLS = ("weight_distribution", "subset_rank_table")
 
 
 def _count_calls(monkeypatch, names):
@@ -79,7 +79,7 @@ def _clifford_enumerations(C, report):
 def test_one_enumeration_one_pass(calls, path, command, enumerations, passes):
     _run_json([command, str(path)])
     assert calls == {
-        "weight_distribution": enumerations, "iter_subset_ranks": passes
+        "weight_distribution": enumerations, "subset_rank_table": passes
     }
 
 
@@ -90,7 +90,7 @@ def test_clifford_work(calls, path, sample, passes):
     report = _run_json(["clifford", str(path), *sample])
     assert calls == {
         "weight_distribution": _clifford_enumerations(C, report),
-        "iter_subset_ranks": passes,
+        "subset_rank_table": passes,
     }
 
 
@@ -132,7 +132,7 @@ def test_analysis_matches_code_taking_functions(calls, hexacode63, ext_hamming84
         sampled = an.clifford(mode="sample", count=30)
         for name in ("Wn_plus", "P", "P_def1", "P_dual", "wd_dual", "classification"):
             getattr(an, name)
-        assert calls == {"weight_distribution": 1, "iter_subset_ranks": 1}
+        assert calls == {"weight_distribution": 1, "subset_rank_table": 1}
         assert W == matroid_mod.rank_gen_poly(C)
         assert Wn == matroid_mod.normalized_rank_gen(C)
         assert clifford == matroid_mod.clifford_check(C)

@@ -5,6 +5,7 @@ generic reduction."""
 
 import random
 import tracemalloc
+from collections import Counter
 from unittest import mock
 
 import pytest
@@ -16,9 +17,9 @@ from codezeta import matroid as matroid_mod
 from codezeta.code import (
     CapacityError,
     LinearCode,
-    iter_subset_ranks,
     rref_rank,
     subset_rank,
+    subset_rank_table,
     weight_distribution,
 )
 from codezeta.gf import SUPPORTED_Q, field_new
@@ -69,7 +70,13 @@ def test_enumeration_memory_is_bounded():
 @example(make_code(7, [[3, 0, 0, 5, 1], [0, 0, 2, 6, 1], [0, 4, 0, 0, 2]]))  # k = n - 2
 @example(make_code(2, [[1, 1, 1, 1, 1, 1]]))  # k = 1
 def test_subset_dfs_matches_reference(C):
-    assert list(iter_subset_ranks(C)) == list(subset_ranks(C))
+    # the (size, rank) tally of the reference walk, and its subsets with
+    # 2 r(A) <= |A| with their ranks, in the same DFS order
+    expected = list(subset_ranks(C))
+    table = subset_rank_table(C)
+    assert table.counts == Counter((size, rank) for _, size, rank in expected)
+    low = [(mask, rank) for mask, size, rank in expected if 2 * rank <= size]
+    assert list(zip(table.low_masks, table.low_ranks)) == low
 
 
 def test_subset_pass_guard_comes_first():
@@ -84,7 +91,7 @@ def test_subset_pass_guard_comes_first():
         with mock.patch.object(code_mod, "_xor_reduce", unused), \
                 mock.patch.object(code_mod, "_reduce_column", unused):
             with pytest.raises(CapacityError, match="guarded at n <= 22"):
-                matroid_mod.subset_rank_table(C)
+                subset_rank_table(C)
 
 
 @st.composite
