@@ -204,13 +204,6 @@ class BiPoly:
     def y(cls):
         return cls({(0, 1): 1})
 
-    @classmethod
-    def from_uni(cls, p, var=0):
-        """Lift a UniPoly into the first (var=0) or second (var=1) variable."""
-        if var == 0:
-            return cls({(i, 0): c for i, c in enumerate(p.coeffs)})
-        return cls({(0, i): c for i, c in enumerate(p.coeffs)})
-
     def coeff(self, i, j):
         return self.terms.get((i, j), Fraction(0))
 
@@ -309,10 +302,6 @@ class RatFun:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den):
-        if isinstance(num, UniPoly):
-            num = BiPoly.from_uni(num)
-        if isinstance(den, UniPoly):
-            den = BiPoly.from_uni(den)
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
         self.num = num
