@@ -138,58 +138,34 @@ def a_coefficient_bound(P, a_list):
     return report
 
 
-def _divide_by_u_minus_1(terms):
-    """Exact division of a (T, u) polynomial by (u - 1)."""
-    by_u = {}
-    for (t, u), c in terms.items():
-        by_u.setdefault(u, {})[t] = c
-    top = max(by_u) if by_u else 0
-    quotient = {}
-    carry = {}  # current quotient coefficient (a poly in T), u-degree descending
-    for u in range(top, 0, -1):
-        cur = dict(carry)
-        for t, c in by_u.get(u, {}).items():
-            cur[t] = cur.get(t, Fraction(0)) + c
-        for t, c in cur.items():
-            if c:
-                quotient[(t, u - 1)] = c
-        carry = cur
-    remainder = dict(by_u.get(0, {}))
-    for t, c in carry.items():
-        remainder[t] = remainder.get(t, Fraction(0)) + c
-    if any(c for c in remainder.values()):
-        raise StructuralError("numerator is not divisible by (u - 1)")
-    return BiPoly(quotient)
-
-
-def _subs_uT_invT(poly, shift):
-    """x^i y^j -> (uT)^i (1/T)^j, cleared by T^shift; returns a (T, u) BiPoly."""
-    out = {}
-    for (i, j), c in poly.terms.items():
-        t_exp = shift + i - j
-        if t_exp < 0:
-            raise StructuralError("insufficient T power to clear the y tail")
-        key = (t_exp, i)
-        out[key] = out.get(key, Fraction(0)) + c
-    return BiPoly(out)
-
-
 def two_var_zeta(Wn_plus, k, n, g):
-    """Z(T, u) from W_n^+ via Z(T,u)(u-1)T^(1-g) = W_n^+(uT, 1/T).
+    """Z(T, u) from W_n^+ via Z(T,u)(u-1)T^(1-g) = W_n^+(uT, 1/T), in one pass.
 
-    Multiplies through by T^(n-k+1) (enough to clear the y^(n-k+1) tail term),
-    then divides the numerator exactly by (u-1); non-divisibility flags a
-    broken W_n^+ construction.
+    Under T^s, s = n-k+1 (enough to clear the y^(n-k+1) tail term), x^i y^j
+    goes to u^i T^(s+i-j), and c u^i = c(u-1)(1 + u + ... + u^(i-1)) + c. The
+    constants c left over cancel at every power of T, since each normalized
+    size layer of W_n sums to 1; a leftover flags a broken W_n^+. T^(g-1)
+    then multiplies the quotient when g >= 1, T^(1-g) the denominator when
+    g < 1.
     """
-    shift = n - k + 1
-    num = _subs_uT_invT(Wn_plus.num, shift)
-    den = _subs_uT_invT(Wn_plus.den, shift)
-    num = _divide_by_u_minus_1(num.terms)
-    if g >= 1:
-        num = num * BiPoly.monomial(g - 1, 0)
-    else:
-        den = den * BiPoly.monomial(1 - g, 0)
-    return TwoVarZeta(value=RatFun(num, den), g=g)
+    s = n - k + 1
+    num_shift, den_shift = (g - 1, 0) if g >= 1 else (0, 1 - g)
+
+    def t_power(i, j):
+        if s + i - j < 0:
+            raise StructuralError("insufficient T power to clear the y tail")
+        return s + i - j
+
+    leftover = {}
+    quotient = []
+    for (i, j), c in Wn_plus.num.terms.items():
+        t = t_power(i, j)
+        leftover[t] = leftover.get(t, 0) + c
+        quotient += [((t + num_shift, e), c) for e in range(i)]
+    if any(leftover.values()):
+        raise StructuralError("numerator is not divisible by (u - 1)")
+    den = [((t_power(i, j) + den_shift, i), c) for (i, j), c in Wn_plus.den.terms.items()]
+    return TwoVarZeta(value=RatFun(BiPoly(quotient), BiPoly(den)), g=g)
 
 
 def check_two_var_compat(Z, P):

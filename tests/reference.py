@@ -2,9 +2,11 @@
 the subset-rank DFS and point ranks, the table-driven row reduction, the
 dimension-first classification, the Gleason-basis extremal synthesis, the
 closed-form zeta and ultraspherical constructions and the Newton
-interpolation, the two-variable self-relation and the Clifford decomposition
+interpolation, the two-variable zeta and self-relation and the Clifford
+decomposition
 of `codezeta` are tested against, among them routes that `codezeta` used
-before: the binary column walk, the full Krawtchouk table, the flipped and
+before: the binary column walk, the full Krawtchouk table, Z(T,u) by
+substitution and synthetic division by (u - 1), the flipped and
 cross-multiplied Z(T,u) and the null-space subcodes."""
 
 import itertools
@@ -15,6 +17,7 @@ from codezeta.bounds import MALLOWS_SLOANE
 from codezeta.code import contains_code, dual_code, weight_distribution
 from codezeta.exactmath import BiPoly, RatFun, UniPoly, ratfun_equal
 from codezeta.extremal import ExtremalEnumerator, gegenbauer
+from codezeta.zeta import StructuralError
 
 
 class InfeasibleError(RuntimeError):
@@ -421,6 +424,57 @@ def nullspace(field, matrix):
                 v[p] = field.neg(rref[r][j])
             basis.append(tuple(v))
     return basis
+
+
+def _divide_by_u_minus_1(terms):
+    """Exact division of a (T, u) polynomial by (u - 1)."""
+    by_u = {}
+    for (t, u), c in terms.items():
+        by_u.setdefault(u, {})[t] = c
+    top = max(by_u) if by_u else 0
+    quotient = {}
+    carry = {}  # current quotient coefficient (a poly in T), u-degree descending
+    for u in range(top, 0, -1):
+        cur = dict(carry)
+        for t, c in by_u.get(u, {}).items():
+            cur[t] = cur.get(t, Fraction(0)) + c
+        for t, c in cur.items():
+            if c:
+                quotient[(t, u - 1)] = c
+        carry = cur
+    remainder = dict(by_u.get(0, {}))
+    for t, c in carry.items():
+        remainder[t] = remainder.get(t, Fraction(0)) + c
+    if any(c for c in remainder.values()):
+        raise StructuralError("numerator is not divisible by (u - 1)")
+    return BiPoly(quotient)
+
+
+def _subs_uT_invT(poly, shift):
+    """x^i y^j -> (uT)^i (1/T)^j, cleared by T^shift; returns a (T, u) BiPoly."""
+    out = {}
+    for (i, j), c in poly.terms.items():
+        t_exp = shift + i - j
+        if t_exp < 0:
+            raise StructuralError("insufficient T power to clear the y tail")
+        key = (t_exp, i)
+        out[key] = out.get(key, Fraction(0)) + c
+    return BiPoly(out)
+
+
+def two_var_zeta(Wn_plus, k, n, g):
+    """Z(T, u) as a RatFun: W_n^+(uT, 1/T) cleared by T^(n-k+1) on both
+    sides, the numerator divided by (u - 1) by synthetic division in u,
+    then T^(g-1) on the numerator or T^(1-g) on the denominator."""
+    shift = n - k + 1
+    num = _subs_uT_invT(Wn_plus.num, shift)
+    den = _subs_uT_invT(Wn_plus.den, shift)
+    num = _divide_by_u_minus_1(num.terms)
+    if g >= 1:
+        num = num * BiPoly.monomial(g - 1, 0)
+    else:
+        den = den * BiPoly.monomial(1 - g, 0)
+    return RatFun(num, den)
 
 
 def two_var_functional_eq(Z):

@@ -17,14 +17,13 @@ from codezeta.code import (
     weight_distribution,
 )
 from codezeta.enumerator import normalize
-from codezeta.exactmath import UniPoly
+from codezeta.exactmath import BiPoly, RatFun, UniPoly
 from codezeta.extremal import extremal_sd_enumerator
 from codezeta.gf import field_new
 from codezeta.zeta import (
     CrossCheckError,
     StructuralError,
     ZetaPolynomial,
-    _divide_by_u_minus_1,
     a_coefficient_bound,
     check_functional_eq,
     check_two_var_compat,
@@ -186,11 +185,29 @@ def test_a_bound_rejects_zero_constant():
         a_coefficient_bound(P, [Fraction(0)] * 5)
 
 
-def test_divide_by_u_minus_1():
-    quo = _divide_by_u_minus_1({(0, 2): Fraction(1), (0, 0): Fraction(-1)})
-    assert quo.terms == {(0, 1): 1, (0, 0): 1}  # (u^2-1)/(u-1) = u+1
-    with pytest.raises(StructuralError):
-        _divide_by_u_minus_1({(0, 0): Fraction(1)})
+def test_two_var_zeta_divides_by_u_minus_1():
+    # k = 1, n = 2, g = 1: x^2 y^4 - y^2 goes to u^2 - 1 at T^0
+    den = BiPoly({(0, 0): 1, (1, 0): -1, (0, 1): -1, (1, 1): 1})
+    Z = two_var_zeta(RatFun(BiPoly({(2, 4): 1, (0, 2): -1}), den), 1, 2, 1)
+    assert Z.value.num.terms == {(0, 1): 1, (0, 0): 1}  # (u^2-1)/(u-1) = u+1
+    assert Z.value.den.terms == {(2, 0): 1, (3, 1): -1, (1, 0): -1, (2, 1): 1}
+    with pytest.raises(StructuralError, match="not divisible by"):
+        two_var_zeta(RatFun(BiPoly({(0, 2): 1}), den), 1, 2, 1)  # u^0 T^0
+
+
+@settings(max_examples=150, deadline=None)
+@given(codes(max_n=8))
+@example(make_code(5, [[1, 2, 3, 4]]))  # k = 1
+@example(ZEROCOL)  # zero column
+@example(make_code(7, [[1, 0, 0, 1, 1], [0, 1, 0, 1, 2], [0, 0, 1, 1, 3]]))  # MDS, g = 0
+@example(make_code(2, [[1, 1, 0, 0], [0, 0, 1, 1]]))  # 2k = n
+def test_two_var_zeta_matches_the_reference(C):
+    assume(C.k < C.n)  # k = n has no weights, and so no g, yet
+    an = CodeAnalysis(C)
+    Z = two_var_zeta(an.Wn_plus, C.k, C.n, an.P.g)
+    ref = reference.two_var_zeta(an.Wn_plus, C.k, C.n, an.P.g)
+    assert Z.value.num.terms == ref.num.terms
+    assert Z.value.den.terms == ref.den.terms
 
 
 def test_two_var_zeta_hamming(hamming74):
