@@ -79,7 +79,8 @@ def cmd_zeta(an, args):
         ),
     }
     ok = (routes_agree and functional is not False
-          and abound["relation_holds"] is not False and abound["bound_holds"])
+          and abound["relation_holds"] is not False
+          and abound["bound_holds"] is not False)
     if nondegenerate:
         deg_ok = P.P.degree == C.n + 2 - wd.d - wd.d_dual
         p1_ok = P.P(1) == 1
@@ -111,6 +112,9 @@ def cmd_greene(an, args):
 
 
 def cmd_twovar(an, args):
+    """Z(T, q) is compared with P(T)/((1-T)(1-qT)) only where P(T) is the
+    zeta polynomial, d_dual >= 2; below that the comparison is reported as
+    not applicable and left out of the verdict."""
     C, g = an.code, an.P.g
     report = {}
     try:
@@ -118,7 +122,7 @@ def cmd_twovar(an, args):
     except zeta_mod.StructuralError as exc:
         report["error"] = str(exc)
         return report, False
-    compat = zeta_mod.check_two_var_compat(Z, an.P)
+    compat = zeta_mod.check_two_var_compat(Z, an.P) if an.wd.d_dual >= 2 else None
     report.update(
         {
             "Z": _ratfun(Z.value, vars=("T", "u")),
@@ -127,7 +131,9 @@ def cmd_twovar(an, args):
             "functional_equation_exploratory": zeta_mod.two_var_functional_eq(an.Wn_plus),
         }
     )
-    return report, compat
+    if compat is None:
+        report["compatible_with_one_variable_not_applicable"] = "needs d_dual >= 2"
+    return report, compat is not False
 
 
 def cmd_bounds(an, args):

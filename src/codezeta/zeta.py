@@ -118,23 +118,21 @@ def a_coefficient_bound(P, a_list):
     """Extract a = p_1/p_0 from P = (a_d/(q-1))(1 + aT + ...), verify the
     relation a_d(a - d + q) = a_{d+1}, and report the bound d+1 <= q+1+a.
 
-    When d = n the relation names a weight no word can have, so
-    `relation_holds` is None and `relation_not_applicable` says why."""
+    The bound follows from the relation and a_{d+1} >= 0. When d = n the
+    relation names a weight no word can have, so `relation_holds` and
+    `bound_holds` are None and their `_not_applicable` keys say why."""
     p0 = P.P.coeff(0)
     if p0 == 0:
         raise StructuralError("zeta polynomial with zero constant term")
     q, d, n = P.q, P.d, P.n
     a = P.P.coeff(1) / p0
-    relation = Fraction(a_list[d]) * (a - d + q) == a_list[d + 1] if d < n else None
     bound = q + 1 + a
-    report = {
-        "a": a,
-        "relation_holds": relation,
-        "bound": bound,
-        "bound_holds": Fraction(d + 1) <= bound,
-    }
-    if relation is None:
-        report["relation_not_applicable"] = "d = n"
+    report = {"a": a, "relation_holds": None, "bound": bound, "bound_holds": None}
+    if d < n:
+        report["relation_holds"] = Fraction(a_list[d]) * (a - d + q) == a_list[d + 1]
+        report["bound_holds"] = Fraction(d + 1) <= bound
+    else:
+        report["relation_not_applicable"] = report["bound_not_applicable"] = "d = n"
     return report
 
 

@@ -7,11 +7,12 @@ from codezeta.gf import SUPPORTED_Q, field_new
 
 
 @st.composite
-def codes(draw, fields=SUPPORTED_Q, max_n=8, max_words=1 << 12, halves=False):
+def codes(draw, fields=SUPPORTED_Q, max_n=8, max_words=1 << 12, halves=False,
+          zero_columns=True):
     """A full-rank generator over one of `fields`, possibly with zero columns:
     an identity on random pivot columns, random entries elsewhere, then mixed
     by random row operations so that it is not systematic. `halves` asks
-    for n = 2k."""
+    for n = 2k; `zero_columns=False` for none, that is, d_dual >= 2."""
     q = draw(st.sampled_from(fields))
     field = field_new(q)
     if halves:
@@ -25,7 +26,7 @@ def codes(draw, fields=SUPPORTED_Q, max_n=8, max_words=1 << 12, halves=False):
         k = draw(st.integers(1, k_max))
     order = draw(st.permutations(range(n)))
     pivots = order[:k]
-    zero = set(order[k : k + draw(st.integers(0, n - k))])
+    zero = set(order[k : k + draw(st.integers(0, n - k))]) if zero_columns else set()
     symbol = st.integers(0, q - 1)
     rows = []
     for i in range(k):
@@ -33,6 +34,10 @@ def codes(draw, fields=SUPPORTED_Q, max_n=8, max_words=1 << 12, halves=False):
             (1 if j == pivots[i] else 0) if j in pivots or j in zero else draw(symbol)
             for j in range(n)
         ])
+    if not zero_columns:
+        for j in range(n):
+            if not any(row[j] for row in rows):
+                rows[0][j] = 1
     for _ in range(draw(st.integers(0, 2 * k))):
         i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
         c = draw(st.integers(1, q - 1))

@@ -240,6 +240,28 @@ def test_zeta_functional_equation_not_applicable_below_distance_2(tmp_path, caps
     assert "functional_equation_not_applicable" not in json.loads(capsys.readouterr().out)
 
 
+def test_twovar_compatibility_not_applicable_below_dual_distance_2(tmp_path, capsys):
+    # d_dual = 1: P(T) is not claimed to be Z(T, q)'s numerator, so twovar
+    # exits 0 and still prints Z and g
+    path = tmp_path / "degenerate.code"
+    path.write_text("2 2 1\n1 0\n")
+    assert run(["--json", "twovar", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["compatible_with_one_variable"] is None
+    assert report["compatible_with_one_variable_not_applicable"] == "needs d_dual >= 2"
+    assert "Z" in report and "g" in report
+
+
+def test_zeta_a_bound_not_applicable_at_d_equals_n(tmp_path, capsys):
+    # the binary [3, 1, 3] repetition code: d + 1 <= q + 1 + a is not claimed
+    path = tmp_path / "rep3.code"
+    path.write_text("2 3 1\n1 1 1\n")
+    assert run(["--json", "zeta", str(path)]) == 0
+    abound = json.loads(capsys.readouterr().out)["a_bound"]
+    assert abound["bound_holds"] is None
+    assert abound["bound_not_applicable"] == "d = n"
+
+
 NUMPY_PROBE = """
 import contextlib, io, sys
 from codezeta.cli import run
@@ -262,3 +284,4 @@ def test_numpy_is_imported_only_by_ultraspherical():
     proc = _run_child("-c", NUMPY_PROBE, *fixtures)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "True"]
+

@@ -168,15 +168,19 @@ def test_a_bound_corpus(corpus):
         assert report["bound_holds"]
 
 
-@pytest.mark.parametrize("q,n", [(2, 2), (7, 6), (5, 5)])
+@pytest.mark.parametrize("q,n", [(2, 2), (7, 6), (5, 5), (2, 3)])
 def test_a_bound_not_applicable_at_d_equals_n(q, n):
-    # an [n, 1, n] MDS code: the relation would read the count of weight n + 1
-    P, wd = _zeta_of(make_mds_code(q, n, 1))
-    assert wd.d == n
+    # the [n, 1, n] repetition code: the relation would read the count of
+    # weight n + 1, and the bound is read off that relation; at n > q,
+    # P = 1 and a = 0 give d + 1 > q + 1 + a
+    C = make_code(q, [[1] * n])
+    P, wd = _zeta_of(C)
+    assert wd.d == C.n
     report = a_coefficient_bound(P, normalize(wd).a_list)
     assert report["relation_holds"] is None
     assert report["relation_not_applicable"] == "d = n"
-    assert report["bound_holds"]
+    assert report["bound_holds"] is None
+    assert report["bound_not_applicable"] == "d = n"
 
 
 def test_a_bound_rejects_zero_constant():
@@ -238,6 +242,19 @@ def test_self_relation_fails_for_unequal_genera():
     an = CodeAnalysis(ZEROCOL)
     assert (an.P.g, an.P.g_dual) == (2, 3)
     assert not two_var_functional_eq(an.Wn_plus)
+
+
+@settings(max_examples=100, deadline=None)
+@given(codes(max_n=8, zero_columns=False))
+@example(make_code(5, [[1, 2, 3, 4]]))  # k = 1, d = n
+@example(make_code(3, [[1, 0, 1], [0, 1, 0]]))  # d = 1
+def test_two_var_compat_holds_when_d_dual_is_at_least_2(C):
+    # P(T) is the zeta polynomial for d_dual >= 2, whatever d is
+    assume(C.k < C.n)
+    an = CodeAnalysis(C)
+    assert an.wd.d_dual >= 2
+    Z = two_var_zeta(an.Wn_plus, C.k, C.n, an.P.g)
+    assert check_two_var_compat(Z, an.P)
 
 
 def test_two_var_compat_corpus(corpus):
