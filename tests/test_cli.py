@@ -284,4 +284,3 @@ def test_numpy_is_imported_only_by_ultraspherical():
     proc = _run_child("-c", NUMPY_PROBE, *fixtures)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "True"]
-

@@ -197,6 +197,8 @@ def test_two_var_zeta_divides_by_u_minus_1():
     assert Z.value.den.terms == {(2, 0): 1, (3, 1): -1, (1, 0): -1, (2, 1): 1}
     with pytest.raises(StructuralError, match="not divisible by"):
         two_var_zeta(RatFun(BiPoly({(0, 2): 1}), den), 1, 2, 1)  # u^0 T^0
+    with pytest.raises(StructuralError, match="insufficient T power"):
+        two_var_zeta(RatFun(BiPoly({(0, 3): 1}), den), 1, 2, 1)  # T^-1
 
 
 @settings(max_examples=150, deadline=None)
