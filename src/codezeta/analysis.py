@@ -2,8 +2,10 @@
 
 A code's invariants come from two tables: its weight distribution (one
 codeword enumeration, with the dual's side from MacWilliams) and its
-(size, rank) counts over column subsets (one DFS pass). `CodeAnalysis`
-computes each table at most once and derives everything else from them.
+(size, rank) counts over column subsets (one pass: popcounts of
+intersections of bitsets of vanishing words, or a DFS with an echelon basis
+where those sets would be wider than 2^16 bits). `CodeAnalysis` computes
+each table at most once and derives everything else from them.
 
 The layer functions are called through their modules, so that a caller who
 replaces `code.weight_distribution` or `code.subset_rank_table` (to count or

@@ -165,7 +165,7 @@ def cmd_clifford(an, args):
         report = an.clifford(mode="sample", count=args.sample, seed=args.seed)
     else:
         report = an.clifford(mode="exhaustive")
-    return report, report["ok"]
+    return report, report["ok"] is not False
 
 
 def cmd_extremal(args):

@@ -10,7 +10,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property, partial
-from itertools import repeat
+from itertools import compress, repeat
 
 from .gf import FieldSpec, field_new
 
@@ -42,14 +42,6 @@ class LinearCode:
     def _columns(self):
         # column j as a tuple of its k symbols
         return tuple(zip(*self.generator))
-
-    @cached_property
-    def _packed_columns(self):
-        # for q = 2: column j as a k-bit int, bit i from row i
-        return tuple(
-            sum(row[j] << i for i, row in enumerate(self.generator))
-            for j in range(self.n)
-        )
 
     @cached_property
     def _packed_echelon(self):
@@ -399,21 +391,13 @@ def _reduce_column(field, basis, vec):
     return basis + ((pivot, tuple(scale[v] for v in cur)),)
 
 
-def _xor_reduce(basis, x):
-    """_reduce_column for q = 2 on packed columns: the pivot is the lowest set
-    bit of the remainder, and scaling is the identity."""
-    for pivot, v in basis:
-        if x & pivot:
-            x ^= v
-    return basis + ((x & -x, x),) if x else basis
-
-
 def _binary_rank(C, mask, stop):
     """Rank over GF(2) of the columns in mask, read off the reduced echelon
     rows: each pivot column in mask is a unit vector, so
     r(A) = |A ∩ pivots| + the rank of the rows whose pivot lies outside A,
     read on A (where they are zero at A's pivot columns). Those rows are
-    reduced as in `_xor_reduce` until the rank reaches `stop`."""
+    reduced by XOR, pivoting on the lowest set bit, until the rank reaches
+    `stop`."""
     pivots, rows = C._packed_echelon
     rank = (mask & pivots).bit_count()
     if rank >= stop:
@@ -466,22 +450,121 @@ class SubsetRankTable:
     low_ranks: array  # their ranks
 
 
-def subset_rank_table(C):
-    """Count the column subsets by (size, rank) in one DFS pass, and keep the
-    subsets with 2 r(A) <= |A|, the only ones the Clifford check reports.
+# Widest zero sets, in bits (q^min(k, n - k) messages), that the subset pass
+# intersects; wider codes take the reduce DFS. The two routes cost about the
+# same near 2^17 bits, and the DFS is faster beyond.
+_ZERO_SET_BITS = 1 << 16
+# Bits of zero sets held at once in the block of the last columns; a set
+# counts as at least 2^8 bits, about what a small int costs.
+_BLOCK_BITS = 1 << 22
 
-    The DFS keeps an incrementally maintained echelon basis and takes column
-    j before leaving it out. The reduce step is an XOR on packed columns for
-    q = 2 and `_reduce_column` otherwise; once the basis holds k vectors no
-    column can grow it, so it is reused as it is. 2^n subsets; guarded at
-    n <= 22."""
+
+def subset_rank_table(C):
+    """Count the column subsets by (size, rank) in one pass, and keep the
+    subsets with 2 r(A) <= |A|, the only ones the Clifford check reports, in
+    DFS order: column 0 decided first, column j taken before it is left out.
+
+    Ranks are read off the words that vanish on column sets. Let D be the
+    smaller of C and its dual, of dimension m = min(k, n - k). The words of
+    C that vanish on A form a subcode of dimension k - r(A); the words of
+    C-perp that vanish off A, one of dimension |A| - r(A). So with Z_j the
+    bitset of D's q^m messages whose word is 0 at column j, every rank is a
+    popcount of an intersection of the Z_j (`_bitset_table`). Past
+    q^m = 2^16 bits a DFS with an echelon basis takes over (`_dfs_table`).
+    2^n subsets; guarded at n <= 22."""
     if C.n > SUBSET_N_MAX:
         raise CapacityError(f"subset enumeration guarded at n <= {SUBSET_N_MAX}")
+    if C.q ** min(C.k, C.n - C.k) <= _ZERO_SET_BITS:
+        return _bitset_table(C)
+    return _dfs_table(C)
+
+
+def _zero_sets(D):
+    """For each column of D, the bitset of D's messages whose word is 0
+    there; bit x is the message whose base-q digits are the coefficients of
+    D's rows. Over the first r rows, by_value[c] holds the messages at which
+    the column reads c; row r, with entry g, sends c to c + dg at digit d, a
+    shift by d q^r."""
+    field, q = D.field, D.q
+    add, mul = field.add_table, field.mul_table
+    sets = []
+    for column in D._columns:
+        by_value, width = [1] + [0] * (q - 1), 1
+        for g in column:
+            grown = [0] * q
+            for d in range(q):
+                to, shift = add[mul[d][g]], d * width
+                for c, s in enumerate(by_value):
+                    grown[to[c]] |= s << shift
+            by_value, width = grown, width * q
+        sets.append(by_value[0])
+    return sets
+
+
+def _bitset_table(C):
+    """The table from intersections of zero sets (see `subset_rank_table`).
+
+    The subsets of the last t columns are listed once, by doubling: each
+    column puts the sets that take it before those that leave it out, one
+    C-level AND `map` per column. The columns above them are walked by a
+    DFS that keeps one intersection per level, and each of its leaves ANDs
+    its intersection into the listed block, so at most 2^t + O(n) sets are
+    live. Taking column j intersects Z_j on C's side; on the dual's side,
+    leaving it out does."""
     n, k = C.n, C.k
-    if C.q == 2:
-        columns, reduce = C._packed_columns, _xor_reduce
+    on_dual = 2 * k > n
+    m = n - k if on_dual else k
+    if m == 0:  # k = n: the dual is {0}, and every rank is |A|
+        zeros = [1] * n
     else:
-        columns, reduce = C._columns, partial(_reduce_column, C.field)
+        zeros = _zero_sets(dual_code(C) if on_dual else C)
+    words = C.q**m
+    exponent = {C.q**e: e for e in range(m + 1)}
+    t = n
+    while t and max(words, 1 << 8) << t > _BLOCK_BITS:
+        t -= 1
+    top = n - t
+    full = (1 << words) - 1
+    sets, masks = [full], [0]
+    for j in reversed(range(top, n)):
+        cut = list(map(operator.and_, sets, repeat(zeros[j])))
+        sets = sets + cut if on_dual else cut + sets
+        masks = list(map(operator.or_, masks, repeat(1 << j))) + masks
+    sizes = list(map(int.bit_count, masks))
+    counts = {}
+    low_masks = array("Q")
+    low_ranks = array("B")
+    stack = [(0, full, 0, 0)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        j, meet, mask, size = pop()
+        if j < top:
+            cut = meet & zeros[j]
+            push((j + 1, cut if on_dual else meet, mask, size))
+            push((j + 1, meet if on_dual else cut, mask | 1 << j, size + 1))
+            continue
+        meets = map(operator.and_, sets, repeat(meet)) if top else sets
+        vanishing = list(map(int.bit_count, meets))
+        low = {}
+        for (bsize, nwords), c in Counter(zip(sizes, vanishing)).items():
+            total = size + bsize
+            rank = (total if on_dual else k) - exponent[nwords]
+            counts[total, rank] = counts.get((total, rank), 0) + c
+            if 2 * rank <= total:
+                low[bsize, nwords] = rank
+        if low:
+            chosen = list(map(low.__contains__, zip(sizes, vanishing)))
+            low_masks.extend(map(operator.or_, compress(masks, chosen), repeat(mask)))
+            low_ranks.extend(map(low.__getitem__, compress(zip(sizes, vanishing), chosen)))
+    return SubsetRankTable(counts=counts, low_masks=low_masks, low_ranks=low_ranks)
+
+
+def _dfs_table(C):
+    """The table by a DFS that keeps an incrementally maintained echelon
+    basis, reduced by `_reduce_column`; once the basis holds k vectors no
+    column can grow it, so it is reused as it is."""
+    n, k = C.n, C.k
+    columns, reduce = C._columns, partial(_reduce_column, C.field)
     counts = {}
     low_masks = array("Q")
     low_ranks = array("B")

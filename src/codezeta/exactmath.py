@@ -296,7 +296,10 @@ class BiPoly:
 class RatFun:
     """Ratio of two bivariate polynomials; no canonicalization is attempted.
 
-    Equality is decided by cross-multiplication (ratfun_equal), never by gcd.
+    The library keeps no equality of its own: `ratfun_equal` cross-multiplies
+    two ratios (the tests compare with it), and the checks that compare a
+    RatFun with something else, such as `zeta.check_two_var_compat`,
+    cross-multiply in place. No gcd is taken.
     """
 
     __slots__ = ("num", "den")

@@ -185,6 +185,12 @@ def dual_relation(C, dual):
     return "self-dual" if C.k == dual.k else "contains-dual"
 
 
+# The classes whose violations the Clifford verdict counts: 2 r(A) >= |A| is
+# a theorem for codes that contain their dual, and for formally self-dual
+# codes it is the paper's question, which (1 0) answers in the negative.
+CLIFFORD_CLASSES = ("self-dual", "contains-dual", "formally-self-dual")
+
+
 def clifford_check(C, mode="exhaustive", count=1000, seed=0, *,
                    classification=None, table=None):
     """Check 2 r(A) >= |A| over column subsets A and report the findings.
@@ -195,6 +201,9 @@ def clifford_check(C, mode="exhaustive", count=1000, seed=0, *,
     `classification` and `table` (C's subset_rank_table) are computed when
     not given. The sampled mode stops each rank at |A| // 2 + 1: the subsets
     it reports have 2 r(A) <= |A|, so their ranks lie below that stop.
+    Violations are listed for every code, but `ok` counts them only for the
+    `CLIFFORD_CLASSES`; for "other" and "undetermined" codes it is None and
+    `ok_not_applicable` says why.
     """
     if classification is None:
         from .analysis import CodeAnalysis
@@ -245,7 +254,13 @@ def clifford_check(C, mode="exhaustive", count=1000, seed=0, *,
             entry = _decomposition_report(C, mask, size, rank)
             report["decompositions"].append(entry)
             ok = ok and entry["ok"]
-    report["ok"] = ok
+    if classification in CLIFFORD_CLASSES:
+        report["ok"] = ok
+    else:
+        report["ok"] = None
+        report["ok_not_applicable"] = (
+            "needs a code that contains its dual or is formally self-dual"
+        )
     return report
 
 

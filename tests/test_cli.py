@@ -69,6 +69,26 @@ def test_clifford_violation_exit_1(capsys):
     assert report["first_violation"]["subset"] == [1]
 
 
+def test_clifford_other_class_is_left_out_of_the_verdict(tmp_path, capsys):
+    # 2k < n makes the class "other", which claims nothing: the violations
+    # are listed, and both modes and `report` exit 0
+    path = tmp_path / "other.code"
+    path.write_text("2 4 1\n1 1 0 0\n")
+    for mode in ([], ["--sample", "50"]):
+        assert run(["--json", "clifford", str(path), *mode]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["classification"] == "other"
+        assert report["violations"]
+        assert report["ok"] is None
+        assert report["ok_not_applicable"] == (
+            "needs a code that contains its dual or is formally self-dual"
+        )
+    assert run(["--json", "clifford", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["first_violation"] == {"subset": [0, 1, 2, 3], "size": 4, "rank": 1}
+    assert run(["--json", "report", str(path)]) == 0
+
+
 def test_clifford_sample(capsys):
     assert run(["clifford", EXT_HAMMING, "--sample", "50", "--seed", "3"]) == 0
     assert "subsets_checked: 50" in capsys.readouterr().out
@@ -77,7 +97,8 @@ def test_clifford_sample(capsys):
 def test_sampled_clifford_past_the_enumeration_guard(tmp_path, capsys):
     # a systematic q=9 [20,10] code: 9^10 words lie past the 2^28 guard, so
     # the weights that would tell "formally-self-dual" from "other" are
-    # refused, but the sampled ranks are not
+    # refused, but the sampled ranks are not; "undetermined" claims nothing,
+    # so the violations are listed and left out of the verdict
     rng = random.Random(20)
     rows = [
         [int(j == i) for j in range(10)] + [rng.randrange(9) for _ in range(10)]
@@ -85,11 +106,14 @@ def test_sampled_clifford_past_the_enumeration_guard(tmp_path, capsys):
     ]
     path = tmp_path / "q9_20_10.code"
     path.write_text("9 20 10\n" + "".join(" ".join(map(str, r)) + "\n" for r in rows))
-    assert run(["--json", "clifford", str(path), "--sample", "20"]) in (0, 1)
+    assert run(["--json", "clifford", str(path), "--sample", "20"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["classification"] == "undetermined"
     assert report["decompositions"] == []
-    assert report["ok"] == (not report["violations"])
+    assert report["ok"] is None
+    assert report["ok_not_applicable"] == (
+        "needs a code that contains its dual or is formally self-dual"
+    )
     assert run(["--json", "weights", str(path)]) == 2
     assert "exceeds the 2^28 guard" in capsys.readouterr().err
 

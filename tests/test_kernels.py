@@ -62,25 +62,65 @@ def test_enumeration_memory_is_bounded():
     assert peak < 4 * 2**20
 
 
-# any k <= n: the DFS costs 2^n whatever the code's size
+# Every drawn code has q^min(k, n - k) <= 9^5 bits, so it takes the bitset
+# route as it runs (a no-op patch); a block of 2^10 bits holds only its last
+# two columns, so the walk over the columns above the block runs too; and a
+# bit budget of 0 sends it through the reduce DFS
+TABLE_ROUTES = [
+    ("_BLOCK_BITS", code_mod._BLOCK_BITS),
+    ("_BLOCK_BITS", 1 << 10),
+    ("_ZERO_SET_BITS", 0),
+]
+
+
+# any k <= n: the table costs 2^n whatever the code's size
 @settings(max_examples=80, deadline=None)
 @given(codes(max_n=10, max_words=9**10))
 @example(make_code(9, [[0, 5, 8, 3]]))  # k = 1 and a zero column
 @example(make_code(3, [[1, 0, 2, 0], [0, 1, 1, 0]]))  # a zero column
 @example(make_code(7, [[3, 0, 0, 5, 1], [0, 0, 2, 6, 1], [0, 4, 0, 0, 2]]))  # k = n - 2
 @example(make_code(2, [[1, 1, 1, 1, 1, 1]]))  # k = 1
+@example(make_code(7, [[3, 0, 0], [0, 2, 6], [0, 4, 2]]))  # k = n
+@example(make_code(4, [  # n = 9 > 2, the small block's width, and 2k > n
+    [1, 0, 0, 0, 0, 2, 3, 1, 1], [0, 1, 0, 0, 0, 1, 0, 3, 2], [0, 0, 1, 0, 0, 3, 1, 2, 0],
+    [0, 0, 0, 1, 0, 2, 2, 0, 3], [0, 0, 0, 0, 1, 1, 3, 1, 1],
+]))
 def test_subset_dfs_matches_reference(C):
     # the (size, rank) tally of the reference walk, and its subsets with
-    # 2 r(A) <= |A| with their ranks, in the same DFS order
+    # 2 r(A) <= |A| with their ranks, in the same DFS order, by every route
+    assert C.q ** min(C.k, C.n - C.k) <= code_mod._ZERO_SET_BITS
     expected = list(subset_ranks(C))
-    table = subset_rank_table(C)
-    assert table.counts == Counter((size, rank) for _, size, rank in expected)
+    counts = Counter((size, rank) for _, size, rank in expected)
     low = [(mask, rank) for mask, size, rank in expected if 2 * rank <= size]
-    assert list(zip(table.low_masks, table.low_ranks)) == low
+    for name, value in TABLE_ROUTES:
+        with mock.patch.object(code_mod, name, value):
+            table = subset_rank_table(C)
+        assert table.counts == counts
+        assert list(table.counts) == list(counts)  # first seen in DFS order
+        assert list(zip(table.low_masks, table.low_ranks)) == low
+
+
+@pytest.mark.parametrize("q,n,k", [(2, 20, 10), (4, 16, 8)])
+def test_subset_table_memory_is_bounded(q, n, k):
+    # 2^n subsets over zero sets of q^k bits (2^16 for q = 4, the widest the
+    # bitset route takes); holding a set per subset would need 128 MB and 8 GB
+    rng = random.Random(n)
+    C = make_code(q, [
+        [int(j == i) if j < k else rng.randrange(q) for j in range(n)] for i in range(k)
+    ])
+    tracemalloc.start()
+    try:
+        table = subset_rank_table(C)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(table.counts.values()) == 2**n
+    assert peak < 4 * 2**20
 
 
 def test_subset_pass_guard_comes_first():
-    # n = 23 columns, one past the guard: no column is reduced
+    # n = 23 columns, one past the guard: no zero set is built and no
+    # column is reduced
     rng = random.Random(23)
     unused = mock.Mock(side_effect=AssertionError("the guard must come first"))
     for q in (2, 3):
@@ -88,7 +128,7 @@ def test_subset_pass_guard_comes_first():
             [int(j == i) if j < 11 else rng.randrange(q) for j in range(23)]
             for i in range(11)
         ])
-        with mock.patch.object(code_mod, "_xor_reduce", unused), \
+        with mock.patch.object(code_mod, "_zero_sets", unused), \
                 mock.patch.object(code_mod, "_reduce_column", unused):
             with pytest.raises(CapacityError, match="guarded at n <= 22"):
                 subset_rank_table(C)
