@@ -452,7 +452,8 @@ class SubsetRankTable:
 
 # Widest zero sets, in bits (q^min(k, n - k) messages), that the subset pass
 # intersects; wider codes take the reduce DFS. The two routes cost about the
-# same near 2^17 bits, and the DFS is faster beyond.
+# same between 2^16 and 2^17 bits (the crossover moves with n), and the DFS
+# is faster beyond.
 _ZERO_SET_BITS = 1 << 16
 # Bits of zero sets held at once in the block of the last columns; a set
 # counts as at least 2^8 bits, about what a small int costs.
