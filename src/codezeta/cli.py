@@ -94,13 +94,14 @@ def cmd_zeta(an, args):
 
 def cmd_rankgen(an, args):
     W, Wn = an.W, an.Wn
+    at_11 = sum(W.W.terms.values())
     report = {
         "W": _bi(W.W),
         "Wn": _bi(Wn.Wn),
         "Wn_plus": _ratfun(an.Wn_plus),
-        "W_at_11": str(W.W.eval(1, 1)),
+        "W_at_11": str(at_11),
     }
-    return report, W.W.eval(1, 1) == 2**an.code.n
+    return report, at_11 == 2**an.code.n
 
 
 def cmd_greene(an, args):

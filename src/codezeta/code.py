@@ -1,6 +1,10 @@
 """Linear codes over GF(q): parsing, row reduction, duals, weight
 distributions, subset ranks, the (size, rank) table of the column subsets
-and MDS fixtures."""
+and MDS fixtures.
+
+Both exponential layers, codeword enumeration and the bitset route of the
+subset table, read one representation: for each column, the bitsets of the
+messages at which it takes each field value (`_value_sets`)."""
 
 from __future__ import annotations
 
@@ -171,133 +175,93 @@ def dual_code(C):
     return LinearCode(field=field, n=C.n, k=C.n - C.k, generator=tuple(basis))
 
 
-# Largest low-part table the enumeration keeps, in words.
+# Largest block of messages whose words are counted at once.
 _TABLE_WORDS = 1 << 12
 
 
-class _PackedVectors:
-    """Vectors of GF(q)^n packed into one int, for the enumeration kernel.
-
-    Position j is the lane of `width` bits at bit j * width. An element
-    sum c_d x^d (encoded sum c_d p^d) holds digit c_d at bit d * digit of its
-    lane. GF(q) addition is digit-wise mod p: XOR for p = 2; for odd p one
-    add, then p taken off the digits that reached p, which the carry mask
-    finds. The top bit of a lane is never set in a packed vector (a spare bit
-    for q = 4, 8; the top bit of a digit below p for odd p), nor in the XOR
-    of two, so `(x + low) & high` marks the nonzero lanes of such an x. A
-    1-bit lane (q = 2) is its own mark.
-    """
-
-    def __init__(self, field, n):
-        p, m = field.p, field.m
-        self.p = p
-        if p == 2:
-            self.digit = 1
-            self.width = m if m == 1 else m + 1
-        else:
-            self.digit = (2 * p - 2).bit_length()
-            self.width = m * self.digit
-        ones_lane = ((1 << n * self.width) - 1) // ((1 << self.width) - 1)
-        self.low = ones_lane * ((1 << self.width - 1) - 1)
-        self.high = ones_lane << self.width - 1
-        ones_digit = ones_lane * sum(1 << d * self.digit for d in range(m))
-        self.carry_add = ones_digit * ((1 << self.digit - 1) - p)
-        self.carry_mask = ones_digit << self.digit - 1
-        self.code = [
-            sum((v // p**d % p) << d * self.digit for d in range(m))
-            for v in range(field.q)
-        ]
-
-    def pack(self, row):
-        code, width = self.code, self.width
-        return sum(code[v] << j * width for j, v in enumerate(row))
-
-    def _reduce(self, s):
-        # every digit of s lies in [0, 2p - 2]; take p off those >= p
-        return s - ((s + self.carry_add & self.carry_mask) >> self.digit - 1) * self.p
-
-    def add(self, a, b):
-        return a ^ b if self.p == 2 else self._reduce(a + b)
-
-    def add_all(self, words, v):
-        """[w + v for w in words], one C-level XOR `map` for p = 2."""
-        if self.p == 2:
-            return list(map(operator.xor, words, repeat(v)))
-        return [self._reduce(w + v) for w in words]
-
-    def tally(self, counter, offset, words):
-        """Count the weights of offset + w over a subspace of words.
-
-        The subspace holds -w with w, so offset - w has the same weights;
-        its position j is zero exactly when the lanes of offset and w are
-        equal, that is when the lane of offset XOR w is zero.
-        """
-        diffs = map(operator.xor, words, repeat(offset))
-        if self.width > 1:
-            diffs = map(
-                operator.and_, map(operator.add, diffs, repeat(self.low)), repeat(self.high)
-            )
-        counter.update(map(int.bit_count, diffs))
+def _value_sets(field, rows, n):
+    """For each of the n columns of `rows`, the q bitsets by_value[c] of the
+    messages at which the column reads c; bit x is the message whose base-q
+    digits are the coefficients of the rows. They are built row by row: row
+    r, with entry g, sends c to c + dg at digit d, a shift by d q^r. Columns
+    that agree on their first r entries share the sets over those rows."""
+    q = field.q
+    add, mul = field.add_table, field.mul_table
+    by_prefix = {(): [1] + [0] * (q - 1)}
+    sets = []
+    for j in range(n):
+        column = tuple(row[j] for row in rows)
+        for r, g in enumerate(column):
+            if column[: r + 1] in by_prefix:
+                continue
+            grown, width = [0] * q, q**r
+            for d in range(q):
+                shift = d * width
+                for to, s in zip(add[mul[d][g]], by_prefix[column[:r]]):
+                    grown[to] |= s << shift
+            by_prefix[column[: r + 1]] = grown
+        sets.append(by_prefix[column])
+    return sets
 
 
-def _gray_walk(start, gens, vec):
-    """start plus every Z_p-combination of gens, one addition per step.
-
-    Step s adds gens[j], where p^j is the largest power of p dividing s: a
-    modular Gray code, which meets every combination once."""
-    p = vec.p
-    word = start
-    yield word
-    for step in range(1, p ** len(gens)):
-        j = 0
-        while step % p == 0:
-            step //= p
-            j += 1
-        word = vec.add(word, gens[j])
-        yield word
+def _offsets(field, rows, n):
+    """Every combination of rows, as a tuple of its n column values, depth
+    first; a node is its parent plus c times the next row."""
+    add, mul = field.add_table, field.mul_table
+    stack = [(0, (0,) * n)]
+    while stack:
+        r, h = stack.pop()
+        if r == len(rows):
+            yield h
+            continue
+        stack.append((r + 1, h))
+        for c in range(1, field.q):
+            scaled = mul[c]
+            stack.append((r + 1, tuple(add[a][scaled[b]] for a, b in zip(h, rows[r]))))
 
 
 def _enumerate_counts(C):
-    """A_0 .. A_n of C, enumerating its codewords as packed ints.
+    """A_0 .. A_n of C, counting its words a block of messages at a time.
 
-    As a Z_p-module C is spanned by x^d g_i (d < m). Only the messages whose
-    first nonzero coefficient is 1 are visited, since the q - 1 multiples of
-    a word share its weight: for leading row i, the words g_i + span(rows
-    after i). That span is split into a table over the last t rows (at most
-    _TABLE_WORDS words, built once) and a Gray-code walk over the rows in
-    between, so memory does not grow with q^k.
+    The block is the span of the first t rows, the most whose q^t messages
+    fit in _TABLE_WORDS; the other rows give the offsets h (`_offsets`).
+    The offsets form a subspace, so the words x - h over all x and h are
+    the words of C. Column j of x - h is 0 exactly where x lies in
+    by_value[j][h_j] (`_value_sets`), and a bit-sliced counter adds these n
+    sets: bit i of its plane bits[i] is bit i of each message's number of
+    zeros. Splitting the block by the planes gives the messages with each
+    number of zeros, so memory does not grow with q^k.
     """
-    field, q, n, k = C.field, C.q, C.n, C.k
-    vec = _PackedVectors(field, n)
-    gens = [
-        [vec.pack([field.mul_table[field.p**d][v] for v in row]) for d in range(field.m)]
-        for row in C.generator
-    ]
+    n, k = C.n, C.k
     t = 0
-    while t < k - 1 and q ** (t + 1) <= _TABLE_WORDS:
+    while t < k and C.q ** (t + 1) <= _TABLE_WORDS:
         t += 1
-    # table[:q^r] spans the last r rows, for every r <= t
-    table = [0]
-    for row in reversed(gens[k - t:]):
-        for g in row:
-            layer, multiple = [], g
-            for _ in range(vec.p - 1):
-                layer += vec.add_all(table, multiple)
-                multiple = vec.add(multiple, g)
-            table += layer
-    tally = Counter()
-    for i in range(k):
-        rest = k - 1 - i
-        if rest <= t:
-            vec.tally(tally, gens[i][0], table[: q**rest])
-        else:
-            middle = [g for row in gens[i + 1 : k - t] for g in row]
-            for offset in _gray_walk(gens[i][0], middle, vec):
-                vec.tally(tally, offset, table)
+    by_value = _value_sets(C.field, C.generator[:t], n)
+    full = (1 << C.q**t) - 1
     counts = [0] * (n + 1)
-    counts[0] = 1
-    for w, c in tally.items():
-        counts[w] += c * (q - 1)
+    for h in _offsets(C.field, C.generator[t:], n):
+        bits = []
+        for sets, c in zip(by_value, h):
+            carry = sets[c]
+            for i, b in enumerate(bits):
+                bits[i] = b ^ carry
+                carry &= b
+                if not carry:
+                    break
+            else:
+                bits.append(carry)
+        parts = [(0, full)]
+        for i, b in enumerate(bits):
+            split = []
+            for zeros, s in parts:
+                on = s & b
+                if on:
+                    split.append((zeros + (1 << i), on))
+                if on != s:
+                    split.append((zeros, s ^ on))
+            parts = split
+        for zeros, s in parts:
+            counts[n - zeros] += s.bit_count()
     return counts
 
 
@@ -482,24 +446,8 @@ def subset_rank_table(C):
 
 def _zero_sets(D):
     """For each column of D, the bitset of D's messages whose word is 0
-    there; bit x is the message whose base-q digits are the coefficients of
-    D's rows. Over the first r rows, by_value[c] holds the messages at which
-    the column reads c; row r, with entry g, sends c to c + dg at digit d, a
-    shift by d q^r."""
-    field, q = D.field, D.q
-    add, mul = field.add_table, field.mul_table
-    sets = []
-    for column in D._columns:
-        by_value, width = [1] + [0] * (q - 1), 1
-        for g in column:
-            grown = [0] * q
-            for d in range(q):
-                to, shift = add[mul[d][g]], d * width
-                for c, s in enumerate(by_value):
-                    grown[to[c]] |= s << shift
-            by_value, width = grown, width * q
-        sets.append(by_value[0])
-    return sets
+    there (`_value_sets`)."""
+    return [by_value[0] for by_value in _value_sets(D.field, D.generator, D.n)]
 
 
 def _bitset_table(C):

@@ -16,6 +16,7 @@ from .code import (
     subset_rank,
     subset_rank_table,
 )
+from .enumerator import normalize
 from .exactmath import BiPoly, RatFun
 
 
@@ -85,11 +86,6 @@ def check_greene(A, W):
     return predicted == actual
 
 
-def _normalized_counts(A):
-    # the coefficients A_i / C(n, i) of A_n(1, t)
-    return [Fraction(A.counts[i], comb(A.n, i)) for i in range(A.n + 1)]
-
-
 def _greene_terms(terms, q, n, k, sign):
     """The Greene substitution of rank-generating monomials c x^a y^b:
     {(x_exp, y_exp): coeff} of sum c q^a (x + sign y)^(k+b-a) y^(a-b+n-k).
@@ -124,7 +120,7 @@ def check_greene_normalized(A, Wn):
     n, k, q = Wn.n, Wn.k, A.q
     if n != A.n:
         raise ValueError("distribution and rank-generating lengths differ")
-    an = _normalized_counts(A)
+    an = normalize(A).a_list
     lhs = [sum(an[i] * comb(n + 1, m - i) for i in range(m + 1)) for m in range(n + 1)]
     rhs = [Fraction(0)] * (n + 1)
     for (_, t_exp), c in _greene_terms(Wn.Wn.terms, q, n, k, 1).items():
@@ -142,7 +138,7 @@ def greene_normalized_symmetric(A, Wn):
     monomials; the s-side is its mirror image, s and t swapped.
     """
     n, k, q = A.n, A.k, A.q
-    an = _normalized_counts(A)
+    an = normalize(A).a_list
     lhs = {}
     for i, c in enumerate(an):
         for j in range(n + 2):

@@ -1,5 +1,6 @@
 """The kernels of `codezeta.code` against plain references: codeword
-enumeration, the subset-rank DFS, the point ranks and the row reduction in
+enumeration and the message bitsets it shares with the subset table, the
+subset-rank DFS, the point ranks and the row reduction in
 every field, and the binary echelon-row rank against the column walk and the
 generic reduction."""
 
@@ -28,19 +29,70 @@ from reference import rref_rank as reference_rref_rank
 from strategies import codes, make_code
 
 
-# 1 sends every word through the Gray-code walk, 4 splits it between the
-# walk and a small table, 2^12 is the table size the kernel uses
+# The table size sets the block of messages counted at once: 1 makes every
+# word an offset of a one-message block, 4 splits the words between a small
+# block and the offsets (for q >= 5 the block is one message again), and
+# 2^12 is the block size the kernel uses
 @settings(max_examples=300, deadline=None)
 @given(codes(), st.sampled_from([1, 4, 1 << 12]))
 @example(make_code(9, [[0, 5, 8, 3]]), 4)  # k = 1 and a zero column
 @example(make_code(4, [[1, 0, 0, 2, 3], [0, 1, 0, 3, 3], [0, 0, 1, 1, 0]]), 1)  # k > n - k
 @example(make_code(8, [[1, 0, 7, 0], [0, 1, 5, 0]]), 4)
+# the binary repetition code: its zero word has 16 zeros, a fifth counter bit
+@example(make_code(2, [[1] * 16]), 1 << 12)
+# a tall q = 9 code, n = 24 > 2k, counted in one block and as offsets
+@example(make_code(9, [[1, 0, 0, 4, 7, 2, 0, 8, 3, 5, 1, 6, 0, 2, 4, 8, 7, 3, 1, 0, 5, 6, 2, 4],
+                       [0, 1, 0, 3, 0, 8, 6, 1, 2, 7, 5, 4, 3, 0, 6, 2, 1, 8, 7, 4, 0, 3, 5, 1],
+                       [0, 0, 1, 6, 2, 0, 5, 3, 8, 1, 4, 7, 2, 6, 0, 5, 3, 4, 8, 2, 1, 7, 0, 6]]),
+         1 << 12)
+@example(make_code(9, [[1, 0, 0, 4, 7, 2, 0, 8, 3, 5, 1, 6, 0, 2, 4, 8, 7, 3, 1, 0, 5, 6, 2, 4],
+                       [0, 1, 0, 3, 0, 8, 6, 1, 2, 7, 5, 4, 3, 0, 6, 2, 1, 8, 7, 4, 0, 3, 5, 1],
+                       [0, 0, 1, 6, 2, 0, 5, 3, 8, 1, 4, 7, 2, 6, 0, 5, 3, 4, 8, 2, 1, 7, 0, 6]]),
+         4)
+# q = 8 with k > n - k
+@example(make_code(8, [[1, 0, 0, 3, 5], [0, 1, 0, 7, 2], [0, 0, 1, 4, 6]]), 1)
 def test_enumeration_matches_reference(C, table_words):
     expected = enumerate_counts(C)
     with mock.patch.object(code_mod, "_TABLE_WORDS", table_words):
         assert code_mod._enumerate_counts(C) == expected
         if C.k < C.n:  # k > n - k enumerates the dual and transforms back
             assert list(weight_distribution(C).counts) == expected
+
+
+@st.composite
+def value_set_cases(draw):
+    """Rows over one of the seven fields with at most 2^12 messages, no rows
+    included, and some columns zero."""
+    field = field_new(draw(st.sampled_from(SUPPORTED_Q)))
+    n = draw(st.integers(1, 6))
+    r_max = 0
+    while field.q ** (r_max + 1) <= 1 << 12:
+        r_max += 1
+    zero = draw(st.sets(st.integers(0, n - 1)))
+    symbol = st.integers(0, field.q - 1)
+    rows = [[0 if j in zero else draw(symbol) for j in range(n)]
+            for _ in range(draw(st.integers(0, min(r_max, 4))))]
+    return field, rows, n
+
+
+@settings(max_examples=200, deadline=None)
+@given(value_set_cases())
+@example((field_new(9), [], 3))  # no rows: the one message reads 0
+@example((field_new(3), [[0, 2], [0, 1]], 2))  # a zero column
+def test_value_sets_match_evaluation(case):
+    # bit x of by_value[j][c] is set exactly when message x, whose base-q
+    # digits are the coefficients of the rows, reads c at column j
+    field, rows, n = case
+    q = field.q
+    expected = [[0] * q for _ in range(n)]
+    for x in range(q ** len(rows)):
+        word = [0] * n
+        for r, row in enumerate(rows):
+            digit = x // q**r % q
+            word = [field.add(w, field.mul(digit, g)) for w, g in zip(word, row)]
+        for j, c in enumerate(word):
+            expected[j][c] |= 1 << x
+    assert code_mod._value_sets(field, rows, n) == expected
 
 
 def test_enumeration_memory_is_bounded():
