@@ -163,9 +163,11 @@ def cmd_bounds(an, args):
 
 def cmd_clifford(an, args):
     if args.sample is not None:
-        report = an.clifford(mode="sample", count=args.sample, seed=args.seed)
+        report = matroid_mod.clifford_check(
+            an.code, mode="sample", count=args.sample, seed=args.seed
+        )
     else:
-        report = an.clifford(mode="exhaustive")
+        report = matroid_mod.clifford_check(an.code)
     return report, report["ok"] is not False
 
 

@@ -2,6 +2,13 @@
 distributions, subset ranks, the (size, rank) table of the column subsets
 and MDS fixtures.
 
+A `LinearCode` keeps its dual, its weight distribution and its subset
+table (`dual`, `weights`, `subset_table`), each built once on first use;
+the invariants that the reports give are derived from these three. Each
+is built by calling `dual_code`, `weight_distribution` or
+`subset_rank_table` through this module's globals, so a caller who
+replaces one of them (to count or time it) sees every call.
+
 Both exponential layers, codeword enumeration and the bitset route of the
 subset table, read one representation: for each column, the bitsets of the
 messages at which it takes each field value (`_value_sets`)."""
@@ -55,6 +62,18 @@ class LinearCode:
         packed = [sum(v << j for j, v in enumerate(row)) for row in rows]
         bits = [1 << j for j in pivots]
         return sum(bits), tuple(zip(bits, packed))
+
+    @cached_property
+    def dual(self):
+        return dual_code(self)
+
+    @cached_property
+    def weights(self):
+        return weight_distribution(self)
+
+    @cached_property
+    def subset_table(self):
+        return subset_rank_table(self)
 
 
 @dataclass(frozen=True)
@@ -306,13 +325,12 @@ def macwilliams_counts(q, n, k, counts):
     return out
 
 
-def weight_distribution(C, dual=None):
+def weight_distribution(C):
     """Exact weight distribution of C, with its dual's counts kept on the
     result.
 
-    Enumerates whichever of C and its dual is smaller and transforms to get
-    the other side; enumeration is guarded at 2^28 words. `dual` is C's dual
-    code when the caller already has it.
+    Enumerates whichever of C and its dual (`C.dual`) is smaller and
+    transforms to get the other side; enumeration is guarded at 2^28 words.
     """
     q, n, k = C.q, C.n, C.k
     side = min(k, n - k)
@@ -324,7 +342,7 @@ def weight_distribution(C, dual=None):
         counts = _enumerate_counts(C)
         dual_counts = macwilliams_counts(q, n, k, counts)
     else:
-        dual_counts = _enumerate_counts(dual if dual is not None else dual_code(C))
+        dual_counts = _enumerate_counts(C.dual)
         counts = macwilliams_counts(q, n, n - k, dual_counts)
     return WeightDistribution(
         q=q,
@@ -466,7 +484,7 @@ def _bitset_table(C):
     if m == 0:  # k = n: the dual is {0}, and every rank is |A|
         zeros = [1] * n
     else:
-        zeros = _zero_sets(dual_code(C) if on_dual else C)
+        zeros = _zero_sets(C.dual if on_dual else C)
     words = C.q**m
     exponent = {C.q**e: e for e in range(m + 1)}
     t = n

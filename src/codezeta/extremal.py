@@ -157,23 +157,6 @@ def check_ultraspherical(P, m):
     return lam, lhs == rhs_unit * lam
 
 
-def gegenbauer_sign_changes(m, lam, grid_steps=2000):
-    """Count sign changes of C_m^lam on a rational grid over (-1, 1)."""
-    poly = gegenbauer(m, lam).poly
-    changes = 0
-    prev = None
-    for i in range(grid_steps + 1):
-        x = Fraction(-1) + Fraction(2 * i, grid_steps)
-        v = poly(x)
-        if v == 0:
-            continue
-        s = v > 0
-        if prev is not None and s != prev:
-            changes += 1
-        prev = s
-    return changes
-
-
 def critical_circle_radii(P):
     """Moduli of the complex roots of P, by double-precision companion-matrix
     numerics. The identity checks elsewhere stay exact; only the root radii

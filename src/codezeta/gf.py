@@ -152,28 +152,3 @@ def field_new(q):
         neg_table=tuple(neg),
         inv_table=tuple(inv),
     )
-
-
-def field_arith(spec, op, a, b=None):
-    """Dispatch a single table operation; `inv` and `neg` ignore b."""
-    if not 0 <= a < spec.q or (b is not None and not 0 <= b < spec.q):
-        raise FieldError("element out of range")
-    if op == "add":
-        return spec.add(a, b)
-    if op == "mul":
-        return spec.mul(a, b)
-    if op == "neg":
-        return spec.neg(a)
-    if op == "inv":
-        return spec.inv(a)
-    raise FieldError(f"unknown operation {op!r}")
-
-
-def element_order(spec, a):
-    if a == 0:
-        raise ZeroDivisionError("0 has no multiplicative order")
-    acc, k = a, 1
-    while acc != 1:
-        acc = spec.mul(acc, a)
-        k += 1
-    return k

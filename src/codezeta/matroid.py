@@ -1,6 +1,9 @@
 """Rank-generating (Whitney) polynomials of the column matroid of a code,
 normalized variants with their infinite-tail completion, Greene's theorem in
-plain and normalized form, and the Clifford-property analysis."""
+plain and normalized form, and the Clifford-property analysis with the
+classification of a code against its dual. The functions that take a code
+read its own subset table, dual and weights (`C.subset_table`, `C.dual`,
+`C.weights`)."""
 
 from __future__ import annotations
 
@@ -10,12 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .code import (
-    CapacityError,
-    contains_code,
-    subset_rank,
-    subset_rank_table,
-)
+from .code import CapacityError, contains_code, subset_rank
 from .enumerator import normalize
 from .exactmath import BiPoly, RatFun
 
@@ -34,23 +32,19 @@ class NormalizedRankGen:
     k: int
 
 
-def rank_gen_poly(C, table=None):
-    """W(x, y); `table` is C's subset_rank_table when the caller has it."""
-    if table is None:
-        table = subset_rank_table(C)
+def rank_gen_poly(C):
+    """W(x, y), read off C's subset table."""
     terms = {}
-    for (size, rank), m in table.counts.items():
+    for (size, rank), m in C.subset_table.counts.items():
         key = (C.k - rank, size - rank)
         terms[key] = terms.get(key, 0) + m
     return RankGenPoly(W=BiPoly(terms), n=C.n, k=C.k)
 
 
-def normalized_rank_gen(C, table=None):
-    """W_n(x, y); `table` is C's subset_rank_table when the caller has it."""
-    if table is None:
-        table = subset_rank_table(C)
+def normalized_rank_gen(C):
+    """W_n(x, y), read off C's subset table."""
     counts = {}
-    for (size, rank), m in table.counts.items():
+    for (size, rank), m in C.subset_table.counts.items():
         key = (C.k - rank, size - rank)
         counts[key] = counts.get(key, Fraction(0)) + Fraction(m, comb(C.n, size))
     return NormalizedRankGen(Wn=BiPoly(counts), n=C.n, k=C.k)
@@ -181,33 +175,52 @@ def dual_relation(C, dual):
     return "self-dual" if C.k == dual.k else "contains-dual"
 
 
+def classify(C):
+    """Where the code stands against its dual, for the Clifford check.
+
+    The dimensions decide first: C contains C-perp only if 2k >= n, and the
+    two share a weight distribution (q^k words against q^(n-k)) only if
+    2k = n. So the dual is read only when 2k >= n, and the weights only when
+    2k = n and C neither equals nor contains its dual. When the enumeration
+    guard refuses them the label is "undetermined"; like
+    "formally-self-dual" and "other" it claims nothing in the Clifford
+    check."""
+    if 2 * C.k < C.n or C.k == C.n:
+        return "other"
+    relation = dual_relation(C, C.dual)
+    if relation:
+        return relation
+    if 2 * C.k > C.n:
+        return "other"
+    try:
+        weights = C.weights
+    except CapacityError:
+        return "undetermined"
+    return "formally-self-dual" if weights.counts == weights.dual_counts else "other"
+
+
 # The classes whose violations the Clifford verdict counts: 2 r(A) >= |A| is
 # a theorem for codes that contain their dual, and for formally self-dual
 # codes it is the paper's question, which (1 0) answers in the negative.
 CLIFFORD_CLASSES = ("self-dual", "contains-dual", "formally-self-dual")
 
 
-def clifford_check(C, mode="exhaustive", count=1000, seed=0, *,
-                   classification=None, table=None):
+def clifford_check(C, mode="exhaustive", count=1000, seed=0):
     """Check 2 r(A) >= |A| over column subsets A and report the findings.
 
     For codes containing their dual the inequality must hold everywhere;
     for a self-dual code every proper equality witness must split the code as
     a direct sum of self-dual codes supported on A and on its complement.
-    `classification` and `table` (C's subset_rank_table) are computed when
-    not given. The sampled mode stops each rank at |A| // 2 + 1: the subsets
-    it reports have 2 r(A) <= |A|, so their ranks lie below that stop.
+    The exhaustive mode reads C's subset table. The sampled mode stops each
+    rank at |A| // 2 + 1: the subsets it reports have 2 r(A) <= |A|, so
+    their ranks lie below that stop.
     Violations are listed for every code, but `ok` counts them only for the
     `CLIFFORD_CLASSES`; for "other" and "undetermined" codes it is None and
     `ok_not_applicable` says why.
     """
-    if classification is None:
-        from .analysis import CodeAnalysis
-
-        classification = CodeAnalysis(C).classification
+    classification = classify(C)
     if mode == "exhaustive":
-        if table is None:
-            table = subset_rank_table(C)
+        table = C.subset_table
         checked = sum(table.counts.values())
         subsets = zip(table.low_masks, table.low_ranks)
     elif mode == "sample":

@@ -1,12 +1,12 @@
 """Plain reference implementations that the kernels, the shared formulas,
 the subset-rank DFS and point ranks, the table-driven row reduction, the
 dimension-first classification, the Gleason-basis extremal synthesis, the
-closed-form zeta and ultraspherical constructions and the Newton
+closed-form zeta and ultraspherical constructions, the Gegenbauer
+polynomials (by a grid count of their sign changes), the Newton
 interpolation, the two-variable zeta and self-relation and the Clifford
-decomposition
-of `codezeta` are tested against, among them routes that `codezeta` used
-before: the binary column walk, the full Krawtchouk table, Z(T,u) by
-substitution and synthetic division by (u - 1), the flipped and
+decomposition of `codezeta` are tested against, among them routes that
+`codezeta` used before: the binary column walk, the full Krawtchouk table,
+Z(T,u) by substitution and synthetic division by (u - 1), the flipped and
 cross-multiplied Z(T,u) and the null-space subcodes."""
 
 import itertools
@@ -152,6 +152,23 @@ def check_ultraspherical(P, m):
         return Fraction(0), False
     lam = lhs.coeffs[-1] / rhs.coeffs[-1]
     return lam, lhs == rhs * lam
+
+
+def gegenbauer_sign_changes(m, lam, grid_steps=2000):
+    """Count sign changes of C_m^lam on a rational grid over (-1, 1)."""
+    poly = gegenbauer(m, lam).poly
+    changes = 0
+    prev = None
+    for i in range(grid_steps + 1):
+        x = Fraction(-1) + Fraction(2 * i, grid_steps)
+        v = poly(x)
+        if v == 0:
+            continue
+        s = v > 0
+        if prev is not None and s != prev:
+            changes += 1
+        prev = s
+    return changes
 
 
 def enumerate_counts(C):

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import importlib
 import io
 import json
@@ -121,22 +122,47 @@ def test_sampled_clifford_below_half_rate_needs_no_dual(monkeypatch, path):
 @example(make_code(7, [[1, 0], [0, 1]]))  # k = n
 @example(make_code(9, [[0, 5, 8, 3]]))  # 2k < n
 def test_classification_matches_reference(C):
-    assert CodeAnalysis(C).classification == classify(C)
+    assert matroid_mod.classify(C) == classify(C)
 
 
 def test_analysis_matches_code_taking_functions(calls, hexacode63, ext_hamming84):
-    for C in (hexacode63, ext_hamming84):
+    for fixture in (hexacode63, ext_hamming84):
+        # a fresh object: the shared fixtures keep the tables they built
+        C = dataclasses.replace(fixture)
         an = CodeAnalysis(C)
         W, Wn = an.W, an.Wn
-        clifford = an.clifford()
-        sampled = an.clifford(mode="sample", count=30)
-        for name in ("Wn_plus", "P", "P_def1", "P_dual", "wd_dual", "classification"):
+        clifford = matroid_mod.clifford_check(C)
+        sampled = matroid_mod.clifford_check(C, mode="sample", count=30)
+        for name in ("Wn_plus", "P", "P_def1", "P_dual", "wd_dual"):
             getattr(an, name)
+        matroid_mod.classify(C)
         assert calls == {"weight_distribution": 1, "subset_rank_table": 1}
-        assert W == matroid_mod.rank_gen_poly(C)
-        assert Wn == matroid_mod.normalized_rank_gen(C)
-        assert clifford == matroid_mod.clifford_check(C)
-        assert sampled == matroid_mod.clifford_check(C, mode="sample", count=30)
-        assert an.wd_dual == code_mod.weight_distribution(an.dual)
+        fresh = dataclasses.replace(fixture)
+        assert W == matroid_mod.rank_gen_poly(fresh)
+        assert Wn == matroid_mod.normalized_rank_gen(fresh)
+        assert clifford == matroid_mod.clifford_check(fresh)
+        assert sampled == matroid_mod.clifford_check(fresh, mode="sample", count=30)
+        assert an.wd_dual == code_mod.weight_distribution(C.dual)
         assert an.wd_dual.dual_counts == an.wd.counts
         calls.update(dict.fromkeys(calls, 0))
+
+
+def test_code_keeps_its_dual_and_table(monkeypatch, hamming74):
+    # 2k > n: the table is built on the dual's side, and the classification
+    # reads the dual too
+    C = dataclasses.replace(hamming74)
+    counts = _count_calls(monkeypatch, ("subset_rank_table", "dual_code"))
+    matroid_mod.rank_gen_poly(C)
+    matroid_mod.normalized_rank_gen(C)
+    matroid_mod.clifford_check(C)
+    assert counts == {"subset_rank_table": 1, "dual_code": 1}
+
+
+@pytest.mark.parametrize("path", FIXTURES, ids=lambda p: p.stem)
+@pytest.mark.parametrize("command", ["report", "clifford"])
+def test_one_dual_per_command(monkeypatch, path, command):
+    # the dual is needed only when 2k >= n, and then built once
+    C = parse_code(path.read_text())
+    counts = _count_calls(monkeypatch, ("dual_code",))
+    _run_json([command, str(path)])
+    assert counts == {"dual_code": int(2 * C.k >= C.n)}

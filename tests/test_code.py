@@ -189,5 +189,5 @@ def test_make_mds_rejects_bad_params():
 
 def test_double_dual_spans_same_space(corpus):
     for entry in corpus[:10]:
-        double_dual = dual_code(entry.dual)
+        double_dual = dual_code(entry.code.dual)
         assert contains_code(double_dual, entry.code) and double_dual.k == entry.code.k

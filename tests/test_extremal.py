@@ -15,7 +15,6 @@ from codezeta.extremal import (
     critical_circle_radii,
     extremal_sd_enumerator,
     gegenbauer,
-    gegenbauer_sign_changes,
 )
 from codezeta.zeta import zeta_from_normalized
 
@@ -125,7 +124,7 @@ def test_gegenbauer_low_degrees():
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_gegenbauer_sign_changes(m):
     # C_m^{m+1} has m simple roots inside (-1, 1)
-    assert gegenbauer_sign_changes(m, m + 1) == m
+    assert reference.gegenbauer_sign_changes(m, m + 1) == m
 
 
 @pytest.mark.parametrize(

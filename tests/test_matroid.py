@@ -197,7 +197,7 @@ def test_dual_relation_matches_two_eliminations(corpus):
     containment by the rank of the stacked generators."""
     seen = set()
     for an in corpus:
-        C, D = an.code, an.dual
+        C, D = an.code, an.code.dual
         same_rref = rref_rank(C.field, C.generator)[1] == rref_rank(D.field, D.generator)[1]
         if C.k == D.k and same_rref:
             expected = "self-dual"
