@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from . import enumerator as enum_mod
 from . import matroid as matroid_mod
 from . import zeta as zeta_mod
 
@@ -32,7 +31,7 @@ class CodeAnalysis:
 
     @cached_property
     def norm(self):
-        return enum_mod.normalize(self.wd)
+        return self.wd.normalized
 
     @cached_property
     def P(self):
@@ -47,7 +46,7 @@ class CodeAnalysis:
     @cached_property
     def P_dual(self):
         return zeta_mod.zeta_from_normalized(
-            enum_mod.normalize(self.wd_dual),
+            self.wd_dual.normalized,
             k=self.wd_dual.k,
             d_dual=self.wd_dual.d_dual,
         )

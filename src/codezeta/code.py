@@ -7,11 +7,17 @@ table (`dual`, `weights`, `subset_table`), each built once on first use;
 the invariants that the reports give are derived from these three. Each
 is built by calling `dual_code`, `weight_distribution` or
 `subset_rank_table` through this module's globals, so a caller who
-replaces one of them (to count or time it) sees every call.
+replaces one of them (to count or time it) sees every call. It also keeps
+the tables its point ranks are read from (`_zero_set_chunks`), and a
+`WeightDistribution` keeps its normalized form (`normalized`).
 
-Both exponential layers, codeword enumeration and the bitset route of the
-subset table, read one representation: for each column, the bitsets of the
-messages at which it takes each field value (`_value_sets`)."""
+Both exponential layers read one representation: for each column, the
+bitsets of the messages at which it takes each field value
+(`_value_sets`). It has three readers: codeword enumeration, the bitset
+route of the subset table, and point ranks (`subset_rank`,
+`subset_ranks`), which read intersections of its zero sets per chunk of
+columns. In characteristic 2 the sets are cut from parity patterns; for
+odd q they are grown row by row."""
 
 from __future__ import annotations
 
@@ -64,6 +70,10 @@ class LinearCode:
         return sum(bits), tuple(zip(bits, packed))
 
     @cached_property
+    def _zero_set_chunks(self):
+        return _zero_set_chunks(self)
+
+    @cached_property
     def dual(self):
         return dual_code(self)
 
@@ -86,6 +96,12 @@ class WeightDistribution:
     d_dual: int
     # the dual code's A_0 .. A_n, when known
     dual_counts: tuple = dataclass_field(default=None, compare=False)
+
+    @cached_property
+    def normalized(self):
+        from .enumerator import normalize  # enumerator imports this module
+
+        return normalize(self)
 
     def dual(self):
         """Weight distribution of the [n, n-k] dual code."""
@@ -201,9 +217,13 @@ _TABLE_WORDS = 1 << 12
 def _value_sets(field, rows, n):
     """For each of the n columns of `rows`, the q bitsets by_value[c] of the
     messages at which the column reads c; bit x is the message whose base-q
-    digits are the coefficients of the rows. They are built row by row: row
-    r, with entry g, sends c to c + dg at digit d, a shift by d q^r. Columns
-    that agree on their first r entries share the sets over those rows."""
+    digits are the coefficients of the rows. For p = 2 they are split off
+    parity sets (`_parity_value_sets`). For odd q they are built row by row:
+    row r, with entry g, sends c to c + dg at digit d, a shift by d q^r.
+    Columns that agree on their first r entries share the sets over those
+    rows."""
+    if field.p == 2:
+        return _parity_value_sets(field, rows, n)
     q = field.q
     add, mul = field.add_table, field.mul_table
     by_prefix = {(): [1] + [0] * (q - 1)}
@@ -220,6 +240,46 @@ def _value_sets(field, rows, n):
                     grown[to] |= s << shift
             by_prefix[column[: r + 1]] = grown
         sets.append(by_prefix[column])
+    return sets
+
+
+def _parity_value_sets(field, rows, n):
+    """`_value_sets` for q = 2^e. A message is a string of e r bits, digit r
+    in bits e r .. e r + e - 1, and field values add by XOR, so bit b of a
+    column's value is the parity of the message bits under a mask: bit i of
+    digit r counts when bit b of alpha^i g_r is set. The odd-parity set of a
+    mask is an XOR of the sets on[i] of messages with bit i set, looked up
+    four mask bits at a time; the q value sets are cut from the full set by
+    the e parity sets, value bit b by the b-th."""
+    e, mul = field.m, field.mul_table
+    bits = e * len(rows)
+    full = (1 << (1 << bits)) - 1
+    # on[i] is runs of 2^i ones every 2^(i+1) bits, read off `every`, the
+    # ones at the multiples of 2^(i+1)
+    on, every = [0] * bits, 1
+    for i in reversed(range(bits)):
+        on[i] = (every << (2 << i)) - (every << (1 << i))
+        every |= every << (1 << i)
+    tables = []
+    for low in range(0, bits, 4):
+        table = [0]
+        for pattern in on[low : low + 4]:
+            table += [t ^ pattern for t in table]
+        tables.append(table)
+    columns = list(zip(*rows)) or [()] * n
+    shifts = range(0, bits, e)
+    sets = [[full] for _ in range(n)]
+    for b in range(e):
+        # bit i of under[g] is bit b of alpha^i g
+        under = [sum((mul[1 << i][g] >> b & 1) << i for i in range(e))
+                 for g in range(field.q)]
+        for j, column in enumerate(columns):
+            mask = sum(map(operator.lshift, map(under.__getitem__, column), shifts))
+            odd = 0
+            for c, table in enumerate(tables):
+                odd ^= table[mask >> 4 * c & 15]
+            even = full ^ odd
+            sets[j] = [s & even for s in sets[j]] + [s & odd for s in sets[j]]
     return sets
 
 
@@ -355,6 +415,46 @@ def weight_distribution(C):
     )
 
 
+# Widest zero sets, in bits (q^min(k, n - k) messages), that the subset pass
+# and the point ranks intersect; wider codes take the reduce DFS and the
+# echelon ranks. For the pass the two routes cost about the same between
+# 2^16 and 2^17 bits (the crossover moves with n), and the DFS is faster
+# beyond.
+_ZERO_SET_BITS = 1 << 16
+# Bits of zero sets held at once: in the subset pass, the block of the last
+# columns; for point ranks, the per-chunk tables. A set counts as at least
+# 2^8 bits, about what a small int costs.
+_BLOCK_BITS = 1 << 22
+
+
+def _zero_set_chunks(C):
+    """The point-rank tables of C (see `subset_rank`), or None when its
+    ranks take the echelon routes. With D the side that `_bitset_table`
+    picks and Z_j its zero sets, table c holds, for each value v of the
+    w-bit chunk c of a column mask, the intersection of the Z_j with
+    j = c w + i over the bits i of v. w is the largest up to 8 with
+    ceil(n / w) 2^w max(q^m, 2^8) <= _BLOCK_BITS."""
+    n, k = C.n, C.k
+    m = min(k, n - k)
+    words = C.q**m
+    if not m or words > _ZERO_SET_BITS:
+        return None
+    width = next((w for w in range(8, 0, -1)
+                  if -(-n // w) * max(words, 1 << 8) << w <= _BLOCK_BITS), 0)
+    if not width:
+        return None
+    on_dual = 2 * k > n
+    zeros = _zero_sets(C.dual if on_dual else C)
+    full = (1 << words) - 1
+    tables = []
+    for low in range(0, n, width):
+        table = [full]
+        for z in zeros[low : low + width]:
+            table += [t & z for t in table]
+        tables.append(table)
+    return width, tables, on_dual, {C.q**e: e for e in range(m + 1)}
+
+
 def _reduce_column(field, basis, vec):
     """Reduce vec against an echelonized basis of (pivot, vector) pairs, each
     vector 1 at its pivot and 0 at the pivots before it; returns the basis,
@@ -413,14 +513,55 @@ def _generic_rank(C, mask, stop):
 def subset_rank(C, mask, stop=None):
     """min(stop, rank) of the generator columns whose bits are set in mask
     (bit j is column j), for stop >= 0; `stop` defaults to k, the largest
-    rank there is. For q = 2 the rank is read off the reduced echelon rows
-    (`_binary_rank`); otherwise the walk over the columns ends once the rank
-    reaches `stop`."""
+    rank there is. Three routes:
+
+    - when 0 < m = min(k, n - k), q^m <= _ZERO_SET_BITS and the chunk
+      tables fit (`_zero_set_chunks`), the rank is read off zero sets, as
+      in the subset pass: on C's side r(A) = k - dim of the words vanishing
+      on A, on the dual's side r(A) = |A| - dim of the dual words vanishing
+      off A, each dim the log_q of the popcount of an intersection of the
+      chunk tables' entries;
+    - otherwise, for q = 2, off the reduced echelon rows (`_binary_rank`);
+    - otherwise by a walk over the columns that ends once the rank reaches
+      `stop` (`_generic_rank`)."""
     if stop is None:
         stop = C.k
+    chunks = C._zero_set_chunks
+    if chunks is not None:
+        width, tables, on_dual, exponent = chunks
+        key = mask ^ ((1 << C.n) - 1) if on_dual else mask
+        low = (1 << width) - 1
+        meet = tables[0][key & low]
+        for c in range(1, len(tables)):
+            meet &= tables[c][key >> c * width & low]
+        dim = exponent[meet.bit_count()]
+        return min((mask.bit_count() if on_dual else C.k) - dim, stop)
     if C.q == 2:
         return _binary_rank(C, mask, stop)
     return _generic_rank(C, mask, stop)
+
+
+def subset_ranks(C, masks, stops=None):
+    """[subset_rank(C, mask, stop) for mask, stop in zip(masks, stops)];
+    `stops` defaults to k for every mask, which gives the exact ranks. On
+    the zero-set route the chunk lookups, ANDs, popcounts and exponents run
+    as chained C-level `map`s over all the masks at once."""
+    stops = repeat(C.k) if stops is None else stops
+    chunks = C._zero_set_chunks
+    if chunks is None:
+        return list(map(partial(subset_rank, C), masks, stops))
+    width, tables, on_dual, exponent = chunks
+    masks = list(masks)
+    keys = list(map(operator.xor, masks, repeat((1 << C.n) - 1))) if on_dual else masks
+    low = repeat((1 << width) - 1)
+    meets = map(tables[0].__getitem__, map(operator.and_, keys, low))
+    for c in range(1, len(tables)):
+        shifted = map(operator.rshift, keys, repeat(c * width))
+        meets = map(operator.and_, meets,
+                    map(tables[c].__getitem__, map(operator.and_, shifted, low)))
+    dims = map(exponent.__getitem__, map(int.bit_count, meets))
+    sizes = map(int.bit_count, masks) if on_dual else repeat(C.k)
+    return [r if r < s else s for r, s in zip(map(operator.sub, sizes, dims), stops)]
 
 
 @dataclass(frozen=True)
@@ -430,16 +571,6 @@ class SubsetRankTable:
     counts: dict  # (size, rank) -> number of column subsets
     low_masks: array  # subsets with 2 r(A) <= |A|, in DFS order
     low_ranks: array  # their ranks
-
-
-# Widest zero sets, in bits (q^min(k, n - k) messages), that the subset pass
-# intersects; wider codes take the reduce DFS. The two routes cost about the
-# same between 2^16 and 2^17 bits (the crossover moves with n), and the DFS
-# is faster beyond.
-_ZERO_SET_BITS = 1 << 16
-# Bits of zero sets held at once in the block of the last columns; a set
-# counts as at least 2^8 bits, about what a small int costs.
-_BLOCK_BITS = 1 << 22
 
 
 def subset_rank_table(C):

@@ -4,6 +4,7 @@ operators and the binomially-weighted truncation invariant."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import comb
 
@@ -34,6 +35,10 @@ class AveragedDistribution:
     @property
     def d(self):
         return _min_weight(self.counts)
+
+    @cached_property
+    def normalized(self):
+        return normalize(self)
 
 
 def normalize_counts(q, n, counts):

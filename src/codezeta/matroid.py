@@ -13,8 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .code import CapacityError, contains_code, subset_rank
-from .enumerator import normalize
+from .code import CapacityError, contains_code, subset_rank, subset_ranks
 from .exactmath import BiPoly, RatFun
 
 
@@ -114,7 +113,7 @@ def check_greene_normalized(A, Wn):
     n, k, q = Wn.n, Wn.k, A.q
     if n != A.n:
         raise ValueError("distribution and rank-generating lengths differ")
-    an = normalize(A).a_list
+    an = A.normalized.a_list
     lhs = [sum(an[i] * comb(n + 1, m - i) for i in range(m + 1)) for m in range(n + 1)]
     rhs = [Fraction(0)] * (n + 1)
     for (_, t_exp), c in _greene_terms(Wn.Wn.terms, q, n, k, 1).items():
@@ -132,7 +131,7 @@ def greene_normalized_symmetric(A, Wn):
     monomials; the s-side is its mirror image, s and t swapped.
     """
     n, k, q = A.n, A.k, A.q
-    an = normalize(A).a_list
+    an = A.normalized.a_list
     lhs = {}
     for i, c in enumerate(an):
         for j in range(n + 2):
@@ -211,9 +210,10 @@ def clifford_check(C, mode="exhaustive", count=1000, seed=0):
     For codes containing their dual the inequality must hold everywhere;
     for a self-dual code every proper equality witness must split the code as
     a direct sum of self-dual codes supported on A and on its complement.
-    The exhaustive mode reads C's subset table. The sampled mode stops each
-    rank at |A| // 2 + 1: the subsets it reports have 2 r(A) <= |A|, so
-    their ranks lie below that stop.
+    The exhaustive mode reads C's subset table. The sampled mode draws all
+    its masks first and then reads their ranks in one batch
+    (`subset_ranks`), each stopped at |A| // 2 + 1: the subsets it reports
+    have 2 r(A) <= |A|, so their ranks lie below that stop.
     Violations are listed for every code, but `ok` counts them only for the
     `CLIFFORD_CLASSES`; for "other" and "undetermined" codes it is None and
     `ok_not_applicable` says why.
@@ -226,13 +226,9 @@ def clifford_check(C, mode="exhaustive", count=1000, seed=0):
     elif mode == "sample":
         rng = random.Random(seed)
         checked = max(count, 0)
-
-        def sampled():
-            for _ in range(count):
-                mask = rng.getrandbits(C.n)
-                yield mask, subset_rank(C, mask, stop=mask.bit_count() // 2 + 1)
-
-        subsets = sampled()
+        masks = [rng.getrandbits(C.n) for _ in range(count)]
+        stops = [mask.bit_count() // 2 + 1 for mask in masks]
+        subsets = zip(masks, subset_ranks(C, masks, stops))
     else:
         raise ValueError("mode must be 'exhaustive' or 'sample'")
     violations = []

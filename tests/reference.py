@@ -5,7 +5,8 @@ closed-form zeta and ultraspherical constructions, the Gegenbauer
 polynomials (by a grid count of their sign changes), the Newton
 interpolation, the two-variable zeta and self-relation and the Clifford
 decomposition of `codezeta` are tested against, among them routes that
-`codezeta` used before: the binary column walk, the full Krawtchouk table,
+`codezeta` used before: the binary column walk, the prefix loop of the
+message bitsets in characteristic 2, the full Krawtchouk table,
 Z(T,u) by substitution and synthetic division by (u - 1), the flipped and
 cross-multiplied Z(T,u) and the null-space subcodes."""
 
@@ -196,6 +197,31 @@ def enumerate_counts(C):
         else:
             counts[sum(1 for v in acc if v)] += 1
     return counts
+
+
+def value_sets(field, rows, n):
+    """For each of the n columns of `rows`, the q bitsets of the messages at
+    which the column reads each value (bit x is the message whose base-q
+    digits are the coefficients of the rows), built row by row: row r, with
+    entry g, sends c to c + dg at digit d, a shift by d q^r. Columns that
+    agree on their first r entries share the sets over those rows."""
+    q = field.q
+    add, mul = field.add_table, field.mul_table
+    by_prefix = {(): [1] + [0] * (q - 1)}
+    sets = []
+    for j in range(n):
+        column = tuple(row[j] for row in rows)
+        for r, g in enumerate(column):
+            if column[: r + 1] in by_prefix:
+                continue
+            grown, width = [0] * q, q**r
+            for d in range(q):
+                shift = d * width
+                for to, s in zip(add[mul[d][g]], by_prefix[column[:r]]):
+                    grown[to] |= s << shift
+            by_prefix[column[: r + 1]] = grown
+        sets.append(by_prefix[column])
+    return sets
 
 
 def _reduce_column(field, basis, vec):

@@ -11,10 +11,11 @@ from hypothesis import example, given, settings
 
 import codezeta
 from codezeta import code as code_mod
+from codezeta import enumerator as enum_mod
 from codezeta import matroid as matroid_mod
 from codezeta.analysis import CodeAnalysis
 from codezeta.cli import run
-from codezeta.code import parse_code
+from codezeta.code import SUBSET_N_MAX, parse_code
 from reference import classify
 from strategies import codes, make_code
 
@@ -49,18 +50,28 @@ def calls(monkeypatch):
     return _count_calls(monkeypatch, LAYER_CALLS)
 
 
-def _run_json(argv):
+def _run_json(argv, refused=False):
+    """The JSON report of a command, or None when it is `refused` (exit 2,
+    as a subset pass past the n <= 22 guard is)."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = run(["--json", *argv])
+    if refused:
+        assert code == 2, argv
+        return None
     assert code in (0, 1), argv
     return json.loads(out.getvalue())
 
 
-def _clifford_enumerations(C, report):
+def _refused(C, passes):
+    # a command that needs the subset table is refused past the guard
+    return bool(passes) and C.n > SUBSET_N_MAX
+
+
+def _clifford_enumerations(C, classification):
     # the weights decide the classification only when 2k = n and the code
     # neither equals nor contains its dual
-    undecided = report["classification"] in ("formally-self-dual", "other")
+    undecided = classification in ("formally-self-dual", "other")
     return int(2 * C.k == C.n and undecided)
 
 
@@ -78,7 +89,8 @@ def _clifford_enumerations(C, report):
     ],
 )
 def test_one_enumeration_one_pass(calls, path, command, enumerations, passes):
-    _run_json([command, str(path)])
+    C = parse_code(path.read_text())
+    _run_json([command, str(path)], refused=_refused(C, passes))
     assert calls == {
         "weight_distribution": enumerations, "subset_rank_table": passes
     }
@@ -88,9 +100,10 @@ def test_one_enumeration_one_pass(calls, path, command, enumerations, passes):
 @pytest.mark.parametrize("sample,passes", [([], 1), (["--sample", "20"], 0)])
 def test_clifford_work(calls, path, sample, passes):
     C = parse_code(path.read_text())
-    report = _run_json(["clifford", str(path), *sample])
+    report = _run_json(["clifford", str(path), *sample], refused=_refused(C, passes))
+    classification = report["classification"] if report else classify(C)
     assert calls == {
-        "weight_distribution": _clifford_enumerations(C, report),
+        "weight_distribution": _clifford_enumerations(C, classification),
         "subset_rank_table": passes,
     }
 
@@ -164,5 +177,26 @@ def test_one_dual_per_command(monkeypatch, path, command):
     # the dual is needed only when 2k >= n, and then built once
     C = parse_code(path.read_text())
     counts = _count_calls(monkeypatch, ("dual_code",))
-    _run_json([command, str(path)])
+    _run_json([command, str(path)], refused=_refused(C, 1))
     assert counts == {"dual_code": int(2 * C.k >= C.n)}
+
+
+@pytest.mark.parametrize("path", FIXTURES, ids=lambda p: p.stem)
+def test_one_normalization_per_distribution(monkeypatch, path):
+    # `report` normalizes each weight distribution it reads, the code's and
+    # its dual's, at most once: the zeta polynomials, the a-bound and the
+    # normalized Greene check read the same normalized form
+    C = parse_code(path.read_text())
+    original, seen = enum_mod.normalize, []
+
+    def counted(A):
+        seen.append(A)
+        return original(A)
+
+    for info in pkgutil.iter_modules(codezeta.__path__):
+        mod = importlib.import_module(f"codezeta.{info.name}")
+        if getattr(mod, "normalize", None) is original:
+            monkeypatch.setattr(mod, "normalize", counted)
+    _run_json(["report", str(path)], refused=_refused(C, 1))
+    assert seen
+    assert len({id(A) for A in seen}) == len(seen) <= 2

@@ -1,12 +1,15 @@
 """The kernels of `codezeta.code` against plain references: codeword
-enumeration and the message bitsets it shares with the subset table, the
-subset-rank DFS, the point ranks and the row reduction in
-every field, and the binary echelon-row rank against the column walk and the
-generic reduction."""
+enumeration and the message bitsets it shares with the subset table and the
+point ranks (in characteristic 2 against the prefix loop), the subset-rank
+DFS, the point ranks one at a time and in a batch on every route, and the
+row reduction in every field, and the binary echelon-row rank against the
+column walk and the generic reduction."""
 
+import dataclasses
 import random
 import tracemalloc
 from collections import Counter
+from itertools import repeat
 from unittest import mock
 
 import pytest
@@ -24,7 +27,13 @@ from codezeta.code import (
     weight_distribution,
 )
 from codezeta.gf import SUPPORTED_Q, field_new
-from reference import binary_column_rank, column_rank, enumerate_counts, subset_ranks
+from reference import (
+    binary_column_rank,
+    column_rank,
+    enumerate_counts,
+    subset_ranks,
+    value_sets,
+)
 from reference import rref_rank as reference_rref_rank
 from strategies import codes, make_code
 
@@ -93,6 +102,33 @@ def test_value_sets_match_evaluation(case):
         for j, c in enumerate(word):
             expected[j][c] |= 1 << x
     assert code_mod._value_sets(field, rows, n) == expected
+
+
+@st.composite
+def parity_value_set_cases(draw):
+    """Rows over GF(2), GF(4) or GF(8) whose messages take up to 16 bits (so
+    up to four 4-bit chunks, the last one partial for q = 8), some columns
+    zero and some repeated."""
+    field = field_new(draw(st.sampled_from((2, 4, 8))))
+    n = draw(st.integers(1, 6))
+    zero = draw(st.sets(st.integers(0, n - 1)))
+    symbol = st.integers(0, field.q - 1)
+    rows = [[0 if j in zero else draw(symbol) for j in range(n)]
+            for _ in range(draw(st.integers(0, 16 // field.m)))]
+    if n > 1 and draw(st.booleans()):
+        for row in rows:
+            row[-1] = row[0]
+    return field, rows, n
+
+
+@settings(max_examples=100, deadline=None)
+@given(parity_value_set_cases())
+@example((field_new(8), [], 2))  # no rows: the one message reads 0
+@example((field_new(2), [[1, 0, 1]] * 16, 3))  # 16 bits in four full chunks
+@example((field_new(8), [[7, 3], [5, 0], [1, 6], [2, 2], [4, 1]], 2))  # 15 bits
+def test_parity_value_sets_match_prefix_loop(case):
+    field, rows, n = case
+    assert code_mod._value_sets(field, rows, n) == value_sets(field, rows, n)
 
 
 def test_enumeration_memory_is_bounded():
@@ -186,26 +222,77 @@ def test_subset_pass_guard_comes_first():
                 subset_rank_table(C)
 
 
+# The chunk width the kernel takes; a budget of 2^13 bits, which gives
+# narrower chunks (at most 5 columns) and, for the wider zero sets of the
+# longer codes, no tables (the echelon routes); and the echelon routes for
+# every code
+RANK_ROUTES = [
+    ("_BLOCK_BITS", code_mod._BLOCK_BITS),
+    ("_BLOCK_BITS", 1 << 13),
+    ("_ZERO_SET_BITS", 0),
+]
+
+
 @st.composite
 def rank_queries(draw):
-    """A code of any k <= n with a column mask and a stop in [0, k + 2]."""
+    """A code of any k <= n over one of the seven fields, and three column
+    masks."""
     C = draw(codes(max_n=10, max_words=9**10))
-    return C, draw(st.integers(0, (1 << C.n) - 1)), draw(st.integers(0, C.k + 2))
+    mask = st.integers(0, (1 << C.n) - 1)
+    return C, [draw(mask) for _ in range(3)]
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(rank_queries())
-@example((make_code(9, [[0, 5, 8, 3]]), 0b0111, 1))  # k = 1 and a zero column
-@example((make_code(3, [[1, 0, 2, 0], [0, 1, 1, 0]]), 0b1001, 0))  # a zero column
-@example((make_code(7, [[3, 0, 0], [0, 2, 6], [0, 4, 2]]), 0b110, 2))  # k = n
-@example((make_code(2, [[1, 1, 1, 1, 1, 1]]), 0b100100, 3))  # k = 1
+@example((make_code(9, [[0, 5, 8, 3]]), [0b0111, 0b1000, 0b0110]))  # k = 1, a zero column
+@example((make_code(3, [[1, 0, 2, 0], [0, 1, 1, 0]]), [0b1001, 0b0110, 0b1000]))  # 2k = n
+@example((make_code(7, [[3, 0, 0], [0, 2, 6], [0, 4, 2]]), [0b110, 0b001, 0b101]))  # k = n
+@example((make_code(2, [[1, 1, 1, 1, 1, 1]]), [0b100100, 0b000001, 0b111110]))  # k = 1
+# 2k > n with a zero column, over GF(2)
+@example((make_code(2, [[1, 0, 0, 1, 0], [0, 1, 0, 1, 0], [0, 0, 1, 1, 0]]),
+          [0b10000, 0b01011, 0b11110]))
+@example((make_code(4, [  # 2k > n, n = 9 past one chunk of the narrow budget
+    [1, 0, 0, 0, 0, 2, 3, 1, 1], [0, 1, 0, 0, 0, 1, 0, 3, 2], [0, 0, 1, 0, 0, 3, 1, 2, 0],
+    [0, 0, 0, 1, 0, 2, 2, 0, 3], [0, 0, 0, 0, 1, 1, 3, 1, 1],
+]), [0b111100000, 0b000011111, 0b101010101]))
+# 2k < n over GF(8), n = 10
+@example((make_code(8, [[1, 0, 3, 5, 7, 2, 0, 4, 6, 1], [0, 1, 6, 1, 4, 3, 0, 2, 5, 7]]),
+          [0b1111100000, 0b0001110011, 0b1000000001]))
 def test_subset_rank_matches_reference(query):
-    # the drawn mask, the empty mask and the full mask
-    C, mask, stop = query
-    for m in (mask, 0, (1 << C.n) - 1):
-        rank = column_rank(C, m)
-        assert subset_rank(C, m) == rank
-        assert subset_rank(C, m, stop) == min(stop, rank)
+    # the drawn masks, the empty mask and the full mask, at every stop from
+    # 0 to k + 1, one at a time and in one batch, by every route
+    C, masks = query
+    masks = [*masks, 0, (1 << C.n) - 1]
+    expected = [column_rank(C, m) for m in masks]
+    for name, value in RANK_ROUTES:
+        with mock.patch.object(code_mod, name, value):
+            fresh = dataclasses.replace(C)  # builds its own tables
+            assert code_mod.subset_ranks(fresh, masks) == expected
+            for stop in range(C.k + 2):
+                stopped = [min(stop, rank) for rank in expected]
+                assert code_mod.subset_ranks(fresh, masks, repeat(stop)) == stopped
+                assert [subset_rank(fresh, m, stop) for m in masks] == stopped
+            assert [subset_rank(fresh, m) for m in masks] == expected
+
+
+@pytest.mark.parametrize("q,n,k", [(4, 16, 8), (2, 22, 11)])
+def test_rank_tables_memory_is_bounded(q, n, k):
+    # zero sets of 2^16 and 2^11 bits in chunks of 4 and 8 columns; a table
+    # over all 2^n column subsets would need 512 MB and 1 GB
+    rng = random.Random(n)
+    C = make_code(q, [
+        [int(j == i) if j < k else rng.randrange(q) for j in range(n)] for i in range(k)
+    ])
+    masks = [rng.getrandbits(n) for _ in range(200)]
+    tracemalloc.start()
+    try:
+        ranks = code_mod.subset_ranks(C, masks)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert C._zero_set_chunks is not None
+    assert ranks == [column_rank(C, m) for m in masks]
+    assert peak < 4 * 2**20
 
 
 @st.composite
@@ -231,10 +318,10 @@ def test_binary_rank_matches_generic(query):
     # at every stop from 0 to k + 1
     C, masks = query
     for mask in masks:
-        assert subset_rank(C, mask) == code_mod._generic_rank(C, mask, C.k)
+        assert code_mod._binary_rank(C, mask, C.k) == code_mod._generic_rank(C, mask, C.k)
         for stop in range(C.k + 2):
             expected = binary_column_rank(C, mask, stop)
-            assert subset_rank(C, mask, stop) == expected
+            assert code_mod._binary_rank(C, mask, stop) == expected
             assert code_mod._generic_rank(C, mask, stop) == expected
 
 
@@ -245,9 +332,13 @@ def test_sampled_clifford_matches_the_column_walk():
     C = make_code(2, [
         [int(j == i) if j < k else rng.randrange(2) for j in range(n)] for i in range(k)
     ])
+    def walk_ranks(C, masks, stops):
+        return list(map(binary_column_rank, repeat(C), masks, stops))
+
     for seed in range(4):
         report = matroid_mod.clifford_check(C, mode="sample", count=1500, seed=seed)
-        with mock.patch.object(matroid_mod, "subset_rank", binary_column_rank):
+        with mock.patch.object(matroid_mod, "subset_rank", binary_column_rank), \
+                mock.patch.object(matroid_mod, "subset_ranks", walk_ranks):
             assert report == matroid_mod.clifford_check(
                 C, mode="sample", count=1500, seed=seed
             )
