@@ -8,16 +8,19 @@ the invariants that the reports give are derived from these three. Each
 is built by calling `dual_code`, `weight_distribution` or
 `subset_rank_table` through this module's globals, so a caller who
 replaces one of them (to count or time it) sees every call. It also keeps
-the tables its point ranks are read from (`_zero_set_chunks`), and a
-`WeightDistribution` keeps its normalized form (`normalized`).
+its reduced echelon form (`_echelon`), the zero sets of the smaller of it
+and its dual (`_zero_sets`) and the tables its point ranks are read from
+(`_zero_set_chunks`), and a `WeightDistribution` keeps its normalized form
+(`normalized`). The full space, k = n, is an ordinary code: its dual is the
+[n, 0] zero code.
 
 Both exponential layers read one representation: for each column, the
 bitsets of the messages at which it takes each field value
 (`_value_sets`). It has three readers: codeword enumeration, the bitset
-route of the subset table, and point ranks (`subset_rank`,
-`subset_ranks`), which read intersections of its zero sets per chunk of
-columns. In characteristic 2 the sets are cut from parity patterns; for
-odd q they are grown row by row."""
+route of the subset table, and point ranks (`subset_ranks`), which read
+intersections of its zero sets per chunk of columns. In characteristic 2
+the sets are cut from parity patterns; for odd q they are grown row by
+row."""
 
 from __future__ import annotations
 
@@ -61,13 +64,23 @@ class LinearCode:
         return tuple(zip(*self.generator))
 
     @cached_property
+    def _echelon(self):
+        # (rank, reduced echelon rows, pivot columns) of the generator
+        return rref_rank(self.field, self.generator)
+
+    @cached_property
     def _packed_echelon(self):
         # for q = 2: the pivot columns as an n-bit mask, and the reduced
         # echelon rows as (pivot bit, n-bit int) pairs, bit j from column j
-        _, rows, pivots = rref_rank(self.field, self.generator)
+        _, rows, pivots = self._echelon
         packed = [sum(v << j for j, v in enumerate(row)) for row in rows]
         bits = [1 << j for j in pivots]
         return sum(bits), tuple(zip(bits, packed))
+
+    @cached_property
+    def _zero_sets(self):
+        # the zero sets of the smaller of C and its dual
+        return _zero_sets(self.dual if 2 * self.k > self.n else self)
 
     @cached_property
     def _zero_set_chunks(self):
@@ -155,10 +168,10 @@ def parse_code(text):
             if not 0 <= v < q:
                 raise ParseError(f"symbol {v} out of range for GF({q})")
         rows.append(tuple(row))
-    rank, _, _ = rref_rank(field, rows)
-    if rank < k:
-        raise ParseError(f"generator matrix has rank {rank} < k = {k}")
-    return LinearCode(field=field, n=n, k=k, generator=tuple(rows))
+    C = LinearCode(field=field, n=n, k=k, generator=tuple(rows))
+    if C._echelon[0] < k:
+        raise ParseError(f"generator matrix has rank {C._echelon[0]} < k = {k}")
+    return C
 
 
 def rref_rank(field, matrix):
@@ -194,11 +207,10 @@ def rref_rank(field, matrix):
 def dual_code(C):
     """The [n, n-k] dual: generator spanning the null space of C's generator,
     one vector per free column j of its reduced echelon form (1 at j, minus
-    column j of the echelon rows at the pivots)."""
+    column j of the echelon rows at the pivots). For k = n it is the [n, 0]
+    zero code, with no rows."""
     field = C.field
-    if C.k == C.n:
-        raise ValueError("the full space has a trivial dual with k=0")
-    _, rref, pivots = rref_rank(field, C.generator)
+    _, rref, pivots = C._echelon
     basis = []
     for j in range(C.n):
         if j not in pivots:
@@ -428,23 +440,21 @@ _BLOCK_BITS = 1 << 22
 
 
 def _zero_set_chunks(C):
-    """The point-rank tables of C (see `subset_rank`), or None when its
-    ranks take the echelon routes. With D the side that `_bitset_table`
-    picks and Z_j its zero sets, table c holds, for each value v of the
-    w-bit chunk c of a column mask, the intersection of the Z_j with
-    j = c w + i over the bits i of v. w is the largest up to 8 with
-    ceil(n / w) 2^w max(q^m, 2^8) <= _BLOCK_BITS."""
+    """The point-rank tables of C (see `subset_ranks`), or None when its
+    ranks take the echelon routes. With Z_j the zero sets (`C._zero_sets`),
+    table c holds, for each value v of the w-bit chunk c of a column mask,
+    the intersection of the Z_j with j = c w + i over the bits i of v. w is
+    the largest up to 8 with ceil(n / w) 2^w max(q^m, 2^8) <= _BLOCK_BITS."""
     n, k = C.n, C.k
     m = min(k, n - k)
     words = C.q**m
-    if not m or words > _ZERO_SET_BITS:
+    if words > _ZERO_SET_BITS:
         return None
     width = next((w for w in range(8, 0, -1)
                   if -(-n // w) * max(words, 1 << 8) << w <= _BLOCK_BITS), 0)
     if not width:
         return None
-    on_dual = 2 * k > n
-    zeros = _zero_sets(C.dual if on_dual else C)
+    zeros = C._zero_sets
     full = (1 << words) - 1
     tables = []
     for low in range(0, n, width):
@@ -452,7 +462,7 @@ def _zero_set_chunks(C):
         for z in zeros[low : low + width]:
             table += [t & z for t in table]
         tables.append(table)
-    return width, tables, on_dual, {C.q**e: e for e in range(m + 1)}
+    return width, tables, 2 * k > n, {C.q**e: e for e in range(m + 1)}
 
 
 def _reduce_column(field, basis, vec):
@@ -512,44 +522,31 @@ def _generic_rank(C, mask, stop):
 
 def subset_rank(C, mask, stop=None):
     """min(stop, rank) of the generator columns whose bits are set in mask
-    (bit j is column j), for stop >= 0; `stop` defaults to k, the largest
-    rank there is. Three routes:
-
-    - when 0 < m = min(k, n - k), q^m <= _ZERO_SET_BITS and the chunk
-      tables fit (`_zero_set_chunks`), the rank is read off zero sets, as
-      in the subset pass: on C's side r(A) = k - dim of the words vanishing
-      on A, on the dual's side r(A) = |A| - dim of the dual words vanishing
-      off A, each dim the log_q of the popcount of an intersection of the
-      chunk tables' entries;
-    - otherwise, for q = 2, off the reduced echelon rows (`_binary_rank`);
-    - otherwise by a walk over the columns that ends once the rank reaches
-      `stop` (`_generic_rank`)."""
-    if stop is None:
-        stop = C.k
-    chunks = C._zero_set_chunks
-    if chunks is not None:
-        width, tables, on_dual, exponent = chunks
-        key = mask ^ ((1 << C.n) - 1) if on_dual else mask
-        low = (1 << width) - 1
-        meet = tables[0][key & low]
-        for c in range(1, len(tables)):
-            meet &= tables[c][key >> c * width & low]
-        dim = exponent[meet.bit_count()]
-        return min((mask.bit_count() if on_dual else C.k) - dim, stop)
-    if C.q == 2:
-        return _binary_rank(C, mask, stop)
-    return _generic_rank(C, mask, stop)
+    (bit j is column j): one mask of `subset_ranks`."""
+    return subset_ranks(C, [mask], None if stop is None else [stop])[0]
 
 
 def subset_ranks(C, masks, stops=None):
-    """[subset_rank(C, mask, stop) for mask, stop in zip(masks, stops)];
-    `stops` defaults to k for every mask, which gives the exact ranks. On
-    the zero-set route the chunk lookups, ANDs, popcounts and exponents run
-    as chained C-level `map`s over all the masks at once."""
+    """min(stop, rank) of the generator columns in each mask (bit j is
+    column j), for stops >= 0; `stops` defaults to k for every mask, which
+    gives the exact ranks. Three routes:
+
+    - when m = min(k, n - k) has q^m <= _ZERO_SET_BITS and the chunk tables
+      fit (`_zero_set_chunks`), the ranks are read off zero sets, as in the
+      subset pass: on C's side r(A) = k - dim of the words vanishing on A,
+      on the dual's side r(A) = |A| - dim of the dual words vanishing off
+      A, each dim the log_q of the popcount of an intersection of the chunk
+      tables' entries. The lookups, ANDs, popcounts and exponents run as
+      chained C-level `map`s over all the masks at once. For k = n the dual
+      is {0}: every Z_j is 1, and every rank reads |A|;
+    - otherwise, for q = 2, off the reduced echelon rows (`_binary_rank`);
+    - otherwise by a walk over the columns that ends once the rank reaches
+      its stop (`_generic_rank`)."""
     stops = repeat(C.k) if stops is None else stops
     chunks = C._zero_set_chunks
     if chunks is None:
-        return list(map(partial(subset_rank, C), masks, stops))
+        rank = _binary_rank if C.q == 2 else _generic_rank
+        return list(map(rank, repeat(C), masks, stops))
     width, tables, on_dual, exponent = chunks
     masks = list(masks)
     keys = list(map(operator.xor, masks, repeat((1 << C.n) - 1))) if on_dual else masks
@@ -612,10 +609,7 @@ def _bitset_table(C):
     n, k = C.n, C.k
     on_dual = 2 * k > n
     m = n - k if on_dual else k
-    if m == 0:  # k = n: the dual is {0}, and every rank is |A|
-        zeros = [1] * n
-    else:
-        zeros = _zero_sets(C.dual if on_dual else C)
+    zeros = C._zero_sets
     words = C.q**m
     exponent = {C.q**e: e for e in range(m + 1)}
     t = n

@@ -180,11 +180,11 @@ def classify(C):
     The dimensions decide first: C contains C-perp only if 2k >= n, and the
     two share a weight distribution (q^k words against q^(n-k)) only if
     2k = n. So the dual is read only when 2k >= n, and the weights only when
-    2k = n and C neither equals nor contains its dual. When the enumeration
-    guard refuses them the label is "undetermined"; like
-    "formally-self-dual" and "other" it claims nothing in the Clifford
-    check."""
-    if 2 * C.k < C.n or C.k == C.n:
+    2k = n and C neither equals nor contains its dual. The full space
+    (k = n) contains its [n, 0] dual. When the enumeration guard refuses
+    the weights the label is "undetermined"; like "formally-self-dual" and
+    "other" it claims nothing in the Clifford check."""
+    if 2 * C.k < C.n:
         return "other"
     relation = dual_relation(C, C.dual)
     if relation:
@@ -278,24 +278,20 @@ def _decomposition_report(C, mask, size, rank):
     `rank`, read off the ranks. The words supported inside A form a subcode
     of dimension k - r(E∖A), those inside the complement one of dimension
     k - r(A), and column j of A lies in the support of the first exactly
-    when it raises the rank of E∖A (and likewise for the complement)."""
+    when it raises the rank of E∖A (and likewise for the complement). The
+    n + 1 ranks, of E∖A and of each set that one column grows, are read in
+    one batch."""
     comp = ((1 << C.n) - 1) ^ mask
-    comp_rank = subset_rank(C, comp)
+    grown = [comp | 1 << j for j in _mask_cols(mask, C.n)]
+    grown += [mask | 1 << j for j in _mask_cols(comp, C.n)]
+    comp_rank, *ranks = subset_ranks(C, [comp, *grown])
     dim_a, dim_b = C.k - comp_rank, C.k - rank
     dim_formula = size - rank  # dual-subcode dimension from corank/nullity duality
-
-    def fills(cols, other, other_rank):
-        # every column of `cols` lies in the support of the subcode on `cols`
-        return all(
-            subset_rank(C, other | 1 << j, stop=other_rank + 1) > other_rank
-            for j in _mask_cols(cols, C.n)
-        )
-
     ok = (
         dim_a + dim_b == C.k
         and dim_a == dim_formula
-        and fills(mask, comp, comp_rank)
-        and fills(comp, mask, rank)
+        and all(r > comp_rank for r in ranks[:size])
+        and all(r > rank for r in ranks[size:])
     )
     return {
         "subset": _mask_cols(mask, C.n),

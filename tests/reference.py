@@ -322,8 +322,6 @@ def rref_rank(field, matrix):
 def classify(C):
     """The Clifford classification whatever the dimensions: build the dual,
     test containment, then compare the two weight distributions."""
-    if C.k == C.n:
-        return "other"
     dual = dual_code(C)
     if contains_code(C, dual):
         return "self-dual" if C.k == dual.k else "contains-dual"

@@ -182,6 +182,18 @@ def test_one_dual_per_command(monkeypatch, path, command):
 
 
 @pytest.mark.parametrize("path", FIXTURES, ids=lambda p: p.stem)
+def test_one_zero_set_build_per_report(monkeypatch, path):
+    # the subset pass and the point ranks of the Clifford decompositions
+    # read the same zero sets, built once on the smaller side
+    C = parse_code(path.read_text())
+    counts = _count_calls(monkeypatch, ("_zero_sets",))
+    refused = _refused(C, 1)
+    _run_json(["report", str(path)], refused=refused)
+    bitsets = C.q ** min(C.k, C.n - C.k) <= code_mod._ZERO_SET_BITS
+    assert counts == {"_zero_sets": int(bitsets and not refused)}
+
+
+@pytest.mark.parametrize("path", FIXTURES, ids=lambda p: p.stem)
 def test_one_normalization_per_distribution(monkeypatch, path):
     # `report` normalizes each weight distribution it reads, the code's and
     # its dual's, at most once: the zeta polynomials, the a-bound and the

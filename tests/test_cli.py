@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import random
@@ -7,11 +9,15 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import codezeta
 from codezeta import cli as cli_mod
 from codezeta import extremal as extremal_mod
-from codezeta.cli import run
+from codezeta.cli import FILE_COMMANDS, run
+from codezeta.gf import SUPPORTED_Q
+from strategies import codes, make_code
 
 FIXTURES = Path(__file__).parent / "fixtures"
 HAMMING = str(FIXTURES / "hamming74.code")
@@ -308,3 +314,90 @@ def test_numpy_is_imported_only_by_ultraspherical():
     proc = _run_child("-c", NUMPY_PROBE, *fixtures)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "True"]
+
+
+def _code_text(C):
+    """C in the code file format."""
+    rows = (" ".join(map(str, row)) for row in C.generator)
+    return "\n".join([f"{C.q} {C.n} {C.k}", *rows]) + "\n"
+
+
+def _invoke(argv):
+    """(exit code, stdout, stderr) of one `run`."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(codes(max_n=6, max_words=9**6))
+@example(make_code(5, [[1, 2, 3, 4]]))  # k = 1
+@example(make_code(9, [[1, 2, 0], [0, 1, 5], [3, 0, 1]]))  # k = n
+@example(make_code(8, [[1, 0, 0, 3], [0, 1, 0, 0]]))  # a zero column
+@example(make_code(4, [[1]]))  # n = 1, k = n
+def test_every_file_command_exits_0_or_1_with_json(tmp_path, C):
+    # any code of any k <= n over the seven fields: each file command
+    # exits 0 or 1 with a JSON report, and `report` gathers the others'
+    path = tmp_path / "drawn.code"
+    path.write_text(_code_text(C))
+    reports = {}
+    for name in FILE_COMMANDS:
+        code, out, err = _invoke(["--json", name, str(path)])
+        assert code in (0, 1), (name, err)
+        reports[name] = json.loads(out)
+    assert reports.pop("report") == reports
+
+
+@st.composite
+def malformed_code_texts(draw):
+    """A code file with one fault: a bad header, a wrong row count or row
+    length, an out-of-range or non-integer symbol, a rank-deficient
+    generator, or a field size outside SUPPORTED_Q."""
+    C = draw(codes(max_n=5))
+    q, n, k = C.q, C.n, C.k
+    rows = [list(map(str, row)) for row in C.generator]
+    header = [str(q), str(n), str(k)]
+    fault = draw(st.sampled_from([
+        "header_tokens", "header_value", "dimension", "field", "row_count",
+        "row_length", "symbol_range", "symbol_value", "rank", "empty",
+    ]))
+    if fault == "header_tokens":
+        header = (header + ["1", "2"])[:draw(st.sampled_from([1, 2, 4, 5]))]
+    elif fault == "header_value":
+        header[draw(st.integers(0, 2))] = draw(st.sampled_from(["x", "2.0", "0x3", "1e2"]))
+    elif fault == "dimension":
+        header[2] = str(draw(st.sampled_from([0, -1, n + 1])))
+    elif fault == "field":
+        header[0] = str(draw(st.integers(-2, 30).filter(lambda v: v not in SUPPORTED_Q)))
+    elif fault == "row_count":
+        rows = rows[:-1] if draw(st.booleans()) else rows + [rows[0]]
+    elif fault == "row_length":
+        i = draw(st.integers(0, k - 1))
+        rows[i] = rows[i][:-1] if draw(st.booleans()) else rows[i] + ["0"]
+    elif fault == "symbol_range":
+        i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, n - 1))
+        rows[i][j] = str(draw(st.sampled_from([q, q + 1, 100, -1])))
+    elif fault == "symbol_value":
+        i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, n - 1))
+        rows[i][j] = draw(st.sampled_from(["a", "1.0", "1/2", "--"]))
+    elif fault == "rank":
+        rows[-1] = ["0"] * n if k == 1 else list(rows[0])
+    else:
+        return draw(st.sampled_from(["", "\n", "# only a comment\n"]))
+    return "\n".join([" ".join(header), *map(" ".join, rows)]) + "\n"
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(malformed_code_texts(), st.sampled_from(sorted(FILE_COMMANDS)), st.booleans())
+@example("6 2 1\n1 0\n", "weights", True)  # q outside SUPPORTED_Q
+@example("2 3 2\n1 0 1\n1 0 1\n", "report", False)  # rank 1 < k = 2
+def test_malformed_code_files_exit_2_with_an_error(tmp_path, text, name, as_json):
+    path = tmp_path / "malformed.code"
+    path.write_text(text)
+    code, out, err = _invoke([*(["--json"] if as_json else []), name, str(path)])
+    assert code == 2
+    assert err.startswith("error:")
+    assert out == ""

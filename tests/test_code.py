@@ -1,7 +1,8 @@
+import math
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 
 import reference
 from codezeta.code import (
@@ -78,8 +79,20 @@ def test_dual_of_10_code(code10):
 @settings(max_examples=100, deadline=None)
 @given(codes(max_n=8))
 def test_dual_generator_is_the_null_space_basis(C):
-    assume(C.k < C.n)
     assert dual_code(C).generator == tuple(reference.nullspace(C.field, C.generator))
+
+
+@settings(max_examples=40, deadline=None)
+@given(codes(max_n=6, max_words=9**6).filter(lambda C: C.k == C.n))
+def test_full_space_has_the_zero_dual_and_binomial_weights(C):
+    # the rows of a k = n code span GF(q)^n: its dual is [n, 0], and it has
+    # C(n, i) (q - 1)^i words of weight i
+    q, n = C.q, C.n
+    dual = dual_code(C)
+    assert (dual.n, dual.k, dual.generator) == (n, 0, ())
+    wd = weight_distribution(C)
+    assert wd.counts == tuple(math.comb(n, i) * (q - 1) ** i for i in range(n + 1))
+    assert wd.dual_counts == (1,) + (0,) * n
 
 
 def test_dual_of_hamming_is_simplex(hamming74):

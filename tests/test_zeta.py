@@ -3,7 +3,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 
 import reference
 from codezeta.analysis import CodeAnalysis
@@ -208,7 +208,6 @@ def test_two_var_zeta_divides_by_u_minus_1():
 @example(make_code(7, [[1, 0, 0, 1, 1], [0, 1, 0, 1, 2], [0, 0, 1, 1, 3]]))  # MDS, g = 0
 @example(make_code(2, [[1, 1, 0, 0], [0, 0, 1, 1]]))  # 2k = n
 def test_two_var_zeta_matches_the_reference(C):
-    assume(C.k < C.n)  # k = n has no weights, and so no g, yet
     an = CodeAnalysis(C)
     Z = two_var_zeta(an.Wn_plus, C.k, C.n, an.P.g)
     ref = reference.two_var_zeta(an.Wn_plus, C.k, C.n, an.P.g)
@@ -232,9 +231,7 @@ def test_two_var_zeta_hamming(hamming74):
 @example(make_code(9, [[1, 0, 5, 7], [0, 1, 2, 8]]))  # 2k = n, MDS
 @example(ZEROCOL)  # g = 2, g_dual = 3
 def test_self_relation_is_the_symmetry_of_wn_plus(C):
-    # the old route flips Z(T,u) and cross-multiplies; it needs P.g, and so
-    # the weights, which k = n does not have yet
-    assume(C.k < C.n)
+    # the old route flips Z(T,u) and cross-multiplies; it needs P.g
     an = CodeAnalysis(C)
     Z = two_var_zeta(an.Wn_plus, C.k, C.n, an.P.g)
     assert two_var_functional_eq(an.Wn_plus) == reference.two_var_functional_eq(Z)
@@ -252,7 +249,6 @@ def test_self_relation_fails_for_unequal_genera():
 @example(make_code(3, [[1, 0, 1], [0, 1, 0]]))  # d = 1
 def test_two_var_compat_holds_when_d_dual_is_at_least_2(C):
     # P(T) is the zeta polynomial for d_dual >= 2, whatever d is
-    assume(C.k < C.n)
     an = CodeAnalysis(C)
     assert an.wd.d_dual >= 2
     Z = two_var_zeta(an.Wn_plus, C.k, C.n, an.P.g)
