@@ -117,21 +117,14 @@ def cmd_twovar(an, args):
     zeta polynomial, d_dual >= 2; below that the comparison is reported as
     not applicable and left out of the verdict."""
     C, g = an.code, an.P.g
-    report = {}
-    try:
-        Z = zeta_mod.two_var_zeta(an.Wn_plus, C.k, C.n, g)
-    except zeta_mod.StructuralError as exc:
-        report["error"] = str(exc)
-        return report, False
+    Z = zeta_mod.two_var_zeta(an.Wn_plus, C.k, C.n, g)
     compat = zeta_mod.check_two_var_compat(Z, an.P) if an.wd.d_dual >= 2 else None
-    report.update(
-        {
-            "Z": _ratfun(Z.value, vars=("T", "u")),
-            "g": g,
-            "compatible_with_one_variable": compat,
-            "functional_equation_exploratory": zeta_mod.two_var_functional_eq(an.Wn_plus),
-        }
-    )
+    report = {
+        "Z": _ratfun(Z.value, vars=("T", "u")),
+        "g": g,
+        "compatible_with_one_variable": compat,
+        "functional_equation_exploratory": zeta_mod.two_var_functional_eq(an.Wn_plus),
+    }
     if compat is None:
         report["compatible_with_one_variable_not_applicable"] = "needs d_dual >= 2"
     return report, compat is not False
@@ -145,7 +138,6 @@ def cmd_bounds(an, args):
     audit = bounds_mod.zero_count_audit(
         h, bounds_mod.proof_zero_bound(C.n, wd.d, c), c, C.n
     )
-    report = dict(report)
     report["zero_audit"] = {
         "zeros": audit["zeros"],
         "count": audit["count"],
@@ -272,6 +264,12 @@ FILE_COMMANDS = {
 
 
 def build_parser():
+    def count(text):  # argparse names a bad value's type after this function
+        value = int(text)
+        if value < 1:
+            raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+        return value
+
     parser = argparse.ArgumentParser(
         prog="codezeta",
         description="Exact zeta/enumerator/matroid reports for short linear codes.",
@@ -293,7 +291,7 @@ def build_parser():
             if name == "clifford":
                 mode = p.add_mutually_exclusive_group()
                 mode.add_argument("--exhaustive", action="store_true")
-            mode.add_argument("--sample", type=int, default=None)
+            mode.add_argument("--sample", type=count, default=None)
             p.add_argument("--seed", type=int, default=0)
         p.add_argument("--json", action="store_true", default=argparse.SUPPRESS)
     return parser

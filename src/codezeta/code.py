@@ -520,12 +520,6 @@ def _generic_rank(C, mask, stop):
     return len(basis)
 
 
-def subset_rank(C, mask, stop=None):
-    """min(stop, rank) of the generator columns whose bits are set in mask
-    (bit j is column j): one mask of `subset_ranks`."""
-    return subset_ranks(C, [mask], None if stop is None else [stop])[0]
-
-
 def subset_ranks(C, masks, stops=None):
     """min(stop, rank) of the generator columns in each mask (bit j is
     column j), for stops >= 0; `stops` defaults to k for every mask, which

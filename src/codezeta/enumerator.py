@@ -1,5 +1,5 @@
 """Weight-enumerator algebra: normalization, averaged puncture/shorten
-operators and the binomially-weighted truncation invariant."""
+operators and the binomially-weighted product whose low terms they keep."""
 
 from __future__ import annotations
 
@@ -85,7 +85,7 @@ def shorten_avg(A):
 
 
 def invariant_thm23(a):
-    """The truncated series a(t)(1+t)^d mod t^(n-d+1)."""
-    order = a.n - a.d
-    prod = a.a_poly * UniPoly([1, 1]) ** a.d
-    return prod.truncated(order)
+    """The exact product a(t)(1+t)^d. Its terms of degree <= n - d
+    (`UniPoly.truncate`) are the invariant of averaged puncturing and
+    shortening."""
+    return a.a_poly * UniPoly([1, 1]) ** a.d

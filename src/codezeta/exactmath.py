@@ -1,6 +1,5 @@
 """Exact rational arithmetic: dense univariate polynomials, sparse bivariate
-polynomials, truncated power series, rational-function pairs and Newton-form
-interpolation.
+polynomials, rational-function pairs and Newton-form interpolation.
 
 All coefficients are `fractions.Fraction`; every operation is exact and pure.
 Bivariate polynomials come from codes short enough for subset enumeration
@@ -112,8 +111,11 @@ class UniPoly:
             power *= b
         return Fraction(acc, D * power // b)
 
-    def truncated(self, order):
-        return TruncatedSeries(order, self.coeffs[: order + 1])
+    def truncate(self, order):
+        """The terms of degree <= order, for order >= 0."""
+        if order < 0:
+            raise ValueError("order must be nonnegative")
+        return UniPoly(self.coeffs[: order + 1])
 
     def __repr__(self):
         return f"UniPoly({list(self.coeffs)!r})"
@@ -136,36 +138,6 @@ def format_poly(p, var="t"):
         else:
             parts.append(f"{c} {var}^{i}" if c != 1 else f"{var}^{i}")
     return " + ".join(parts).replace("+ -", "- ")
-
-
-class TruncatedSeries:
-    """A power series class modulo T^(order+1); length order+1 coefficients."""
-
-    __slots__ = ("order", "coeffs")
-
-    def __init__(self, order, coeffs=()):
-        if order < 0:
-            raise ValueError("order must be nonnegative")
-        cs = [Fraction(c) for c in coeffs][: order + 1]
-        cs += [Fraction(0)] * (order + 1 - len(cs))
-        self.order = order
-        self.coeffs = tuple(cs)
-
-    def __eq__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.order, self.coeffs))
-
-    def truncate(self, order):
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return TruncatedSeries(order, self.coeffs[: order + 1])
-
-    def __repr__(self):
-        return f"TruncatedSeries({self.order}, {list(self.coeffs)!r})"
 
 
 class BiPoly:
@@ -270,12 +242,6 @@ class BiPoly:
         return out
 
     __rmul__ = __mul__
-
-    def eval(self, x, y):
-        acc = Fraction(0)
-        for (i, j), c in self.terms.items():
-            acc += c * Fraction(x) ** i * Fraction(y) ** j
-        return acc
 
     def subs_second(self, value):
         """Evaluate the second variable at a scalar, leaving a UniPoly."""

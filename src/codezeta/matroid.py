@@ -3,17 +3,18 @@ normalized variants with their infinite-tail completion, Greene's theorem in
 plain and normalized form, and the Clifford-property analysis with the
 classification of a code against its dual. The functions that take a code
 read its own subset table, dual and weights (`C.subset_table`, `C.dual`,
-`C.weights`)."""
+`C.weights`), and the ranks of any other column sets in batches
+(`subset_ranks`)."""
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
 
-from .code import CapacityError, contains_code, subset_rank, subset_ranks
+from .code import CapacityError, contains_code, subset_ranks
 from .exactmath import BiPoly, RatFun
 
 
@@ -32,20 +33,17 @@ class NormalizedRankGen:
 
 
 def rank_gen_poly(C):
-    """W(x, y), read off C's subset table."""
-    terms = {}
-    for (size, rank), m in C.subset_table.counts.items():
-        key = (C.k - rank, size - rank)
-        terms[key] = terms.get(key, 0) + m
+    """W(x, y), read off C's subset table. (size, rank) -> (k - rank,
+    size - rank) is one-to-one, so each key takes one count."""
+    terms = {(C.k - rank, size - rank): m
+             for (size, rank), m in C.subset_table.counts.items()}
     return RankGenPoly(W=BiPoly(terms), n=C.n, k=C.k)
 
 
 def normalized_rank_gen(C):
-    """W_n(x, y), read off C's subset table."""
-    counts = {}
-    for (size, rank), m in C.subset_table.counts.items():
-        key = (C.k - rank, size - rank)
-        counts[key] = counts.get(key, Fraction(0)) + Fraction(m, comb(C.n, size))
+    """W_n(x, y), read off C's subset table, each key as in `rank_gen_poly`."""
+    counts = {(C.k - rank, size - rank): Fraction(m, comb(C.n, size))
+              for (size, rank), m in C.subset_table.counts.items()}
     return NormalizedRankGen(Wn=BiPoly(counts), n=C.n, k=C.k)
 
 
@@ -304,15 +302,23 @@ def _decomposition_report(C, mask, size, rank):
 
 def find_two_disjoint_bases(C):
     """First (lexicographic) partition of the columns of an n = 2k code into
-    two independent k-sets, or None when no such partition exists."""
+    two independent k-sets, or None when no such partition exists. The
+    k-subsets are read in lexicographic blocks, one subset first and twice
+    as many each time, and each block's ranks and its complements' ranks
+    are read in one batch (`subset_ranks`)."""
     n, k = C.n, C.k
     if n != 2 * k:
         raise ValueError("two disjoint bases need n = 2k")
     if n > 20:
         raise CapacityError("basis-partition search guarded at n <= 20")
     full = (1 << n) - 1
-    for a in combinations(range(n), k):
-        mask = sum(1 << j for j in a)
-        if subset_rank(C, mask) == k and subset_rank(C, full ^ mask) == k:
-            return a, tuple(_mask_cols(full ^ mask, n))
+    subsets = combinations(range(n), k)
+    size = 1
+    while block := list(islice(subsets, size)):
+        masks = [sum(1 << j for j in a) for a in block]
+        ranks = subset_ranks(C, masks + [full ^ mask for mask in masks])
+        for a, mask, r, r_comp in zip(block, masks, ranks, ranks[len(block):]):
+            if r == k and r_comp == k:
+                return a, tuple(_mask_cols(full ^ mask, n))
+        size *= 2
     return None

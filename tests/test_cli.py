@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import codezeta
 from codezeta import cli as cli_mod
 from codezeta import extremal as extremal_mod
+from codezeta.bounds import MALLOWS_SLOANE
 from codezeta.cli import FILE_COMMANDS, run
 from codezeta.gf import SUPPORTED_Q
 from strategies import codes, make_code
@@ -401,3 +402,66 @@ def test_malformed_code_files_exit_2_with_an_error(tmp_path, text, name, as_json
     assert code == 2
     assert err.startswith("error:")
     assert out == ""
+
+
+@pytest.mark.parametrize("command", ["clifford", "report"])
+@pytest.mark.parametrize("count", ["0", "-5"])
+def test_sample_count_below_1_exits_2(command, count):
+    # a sample of no subsets checks nothing, so it is refused, not passed
+    code, out, err = _invoke([command, HAMMING, "--sample", count])
+    assert code == 2
+    assert out == ""
+    assert f"error: argument --sample: must be at least 1, got {count}" in err
+
+
+_NUMBERS = st.one_of(
+    st.integers(-3, 200).map(str), st.sampled_from(["x", "", "2.5", "1e2", "0x8", "--"])
+)
+
+
+@st.composite
+def argvs(draw):
+    """An argv for `run`: `extremal` on one of the Mallows-Sloane types at a
+    length n <= 200 that it allows, with one option in ten left out and one
+    in ten given a number or junk instead; or a list of the parser's own
+    words, numbers and code files in any order."""
+    if draw(st.booleans()):
+        q, c, mod, _ = draw(st.sampled_from(sorted(MALLOWS_SLOANE.values())))
+        values = {
+            "--q": st.just(str(q)),
+            "--c": st.just(str(c)),
+            "--n": st.integers(1, 200 // mod).map(lambda i: str(mod * i)),
+        }
+        argv = ["extremal"]
+        for option in draw(st.permutations(list(values))):
+            choice = draw(st.sampled_from(["valid"] * 8 + ["junk", "left out"]))
+            if choice != "left out":
+                argv += [option, draw(values[option] if choice == "valid" else _NUMBERS)]
+        if draw(st.booleans()):
+            argv.append("--ultraspherical")
+        if draw(st.booleans()):
+            argv.insert(draw(st.sampled_from([0, len(argv)])), "--json")
+        return argv
+    words = st.sampled_from([
+        *FILE_COMMANDS, "extremal", "nosuchcommand", "--json", "--q", "--c",
+        "--n", "--ultraspherical", "--sample", "--seed", "--exhaustive", "-h",
+        HAMMING, CODE10, EXT_HAMMING, str(FIXTURES / "missing.code"),
+    ])
+    return draw(st.lists(words | _NUMBERS, max_size=7))
+
+
+@settings(max_examples=150, deadline=None)
+@given(argvs())
+@example(["extremal", "--q", "2", "--c", "2", "--n", "-2"])
+@example(["extremal", "--q", "4", "--c", "2", "--n", "200", "--ultraspherical"])
+@example(["clifford", HAMMING, "--sample", "--seed", "3"])
+@example(["--json"])
+@example([])
+def test_any_argv_exits_0_1_or_2_without_a_traceback(argv):
+    # an exception out of `run` is a traceback at the console
+    code, out, err = _invoke(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err
+    if code == 2:
+        assert any(line.startswith("usage:") or "error:" in line
+                   for line in err.splitlines()), (argv, err)

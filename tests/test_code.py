@@ -15,7 +15,7 @@ from codezeta.code import (
     make_mds_code,
     parse_code,
     rref_rank,
-    subset_rank,
+    subset_ranks,
     weight_distribution,
 )
 from codezeta.gf import SUPPORTED_Q, field_new
@@ -165,11 +165,9 @@ def test_direct_vs_macwilliams_route():
 
 def test_subset_rank_basics(hamming74, code10):
     full = (1 << 7) - 1
-    assert subset_rank(hamming74, 0) == 0
-    assert subset_rank(hamming74, full) == 4
-    assert subset_rank(hamming74, full, stop=2) == 2
-    assert subset_rank(hamming74, 0b11, stop=5) == 2
-    assert subset_rank(code10, 0b10) == 0
+    assert subset_ranks(hamming74, [0, full]) == [0, 4]
+    assert subset_ranks(hamming74, [full, 0b11], [2, 5]) == [2, 2]
+    assert subset_ranks(code10, [0b10]) == [0]
 
 
 def test_subset_rank_monotone_submodular(hamming74):
@@ -178,10 +176,7 @@ def test_subset_rank_monotone_submodular(hamming74):
     for _ in range(40):
         A = sum(1 << j for j in cols if rng.random() < 0.4)
         B = sum(1 << j for j in cols if rng.random() < 0.4)
-        rA = subset_rank(hamming74, A)
-        rB = subset_rank(hamming74, B)
-        rU = subset_rank(hamming74, A | B)
-        rI = subset_rank(hamming74, A & B)
+        rA, rB, rU, rI = subset_ranks(hamming74, [A, B, A | B, A & B])
         assert rA <= rU and rB <= rU
         assert rU + rI <= rA + rB
 

@@ -73,9 +73,11 @@ def test_avg_operators_preserve_totals(corpus):
 
 
 def test_invariant_thm23_hamming(hamming74):
+    # a(t) = (1/5)(1 + t) + t^4, times (1 + t)^3; the terms up to t^(n-d)
+    # = t^4 are the invariant
     inv = invariant_thm23(normalize(weight_distribution(hamming74)))
-    assert inv.order == 4
-    assert list(inv.coeffs) == [
+    assert inv.degree == 7
+    assert list(inv.truncate(4).coeffs) == [
         Fraction(1, 5),
         Fraction(4, 5),
         Fraction(6, 5),

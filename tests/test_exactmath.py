@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from codezeta.exactmath import (
     BiPoly,
     RatFun,
-    TruncatedSeries,
     UniPoly,
     interpolate,
     ratfun_equal,
@@ -86,8 +85,8 @@ def test_series_quotient_multiplies_back():
     num = UniPoly([2, -1, 3])
     den = UniPoly([1, 4, -2, 1])
     s = series_quotient(num, den, 6)
-    back = (UniPoly(s) * den).truncated(6)
-    assert back == num.truncated(6)
+    back = (UniPoly(s) * den).truncate(6)
+    assert back == num.truncate(6)
 
 
 def test_mobius_compose_constant():
@@ -122,15 +121,14 @@ def test_mobius_compose_linearity(a, b, order):
     assert mobius_compose(pa + pb, order) == sums
 
 
-def test_truncated_series_ops():
-    s = TruncatedSeries(3, [1, 1, 1, 1])
-    t = TruncatedSeries(2, [1, -1])
-    assert t.order == 2
-    assert list(t.coeffs) == [1, -1, 0]
-    assert UniPoly([1, 1, 1, 1, 1]).truncated(3) == s
-    assert s.truncate(1) == TruncatedSeries(1, [1, 1])
+def test_unipoly_truncate():
+    p = UniPoly([1, 1, 0, 0, 1])
+    assert p.truncate(3) == UniPoly([1, 1])
+    assert p.truncate(0) == UniPoly([1])
+    assert p.truncate(9) == p  # past the degree, nothing is cut
+    assert UniPoly().truncate(2).is_zero()
     with pytest.raises(ValueError):
-        s.truncate(5)
+        p.truncate(-1)
 
 
 def test_ratfun_equal():
@@ -152,7 +150,7 @@ def test_ratfun_rejects_zero_denominator():
 def test_bipoly_basics():
     p = BiPoly({(1, 0): 1, (0, 1): -1})  # x - y
     assert (p * p).coeff(1, 1) == -2
-    assert p.eval(3, 2) == 1
+    assert p.subs_second(2)(3) == 1
     assert p.subs_second(1) == UniPoly([-1, 1])
     assert (p - p).is_zero()
 

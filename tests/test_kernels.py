@@ -22,7 +22,6 @@ from codezeta.code import (
     CapacityError,
     LinearCode,
     rref_rank,
-    subset_rank,
     subset_rank_table,
     weight_distribution,
 )
@@ -271,8 +270,9 @@ def test_subset_rank_matches_reference(query):
             for stop in range(C.k + 2):
                 stopped = [min(stop, rank) for rank in expected]
                 assert code_mod.subset_ranks(fresh, masks, repeat(stop)) == stopped
-                assert [subset_rank(fresh, m, stop) for m in masks] == stopped
-            assert [subset_rank(fresh, m) for m in masks] == expected
+                assert [code_mod.subset_ranks(fresh, [m], [stop])[0]
+                        for m in masks] == stopped
+            assert [code_mod.subset_ranks(fresh, [m])[0] for m in masks] == expected
 
 
 @pytest.mark.parametrize("q,n,k", [(4, 16, 8), (2, 22, 11)])
@@ -337,8 +337,7 @@ def test_sampled_clifford_matches_the_column_walk():
 
     for seed in range(4):
         report = matroid_mod.clifford_check(C, mode="sample", count=1500, seed=seed)
-        with mock.patch.object(matroid_mod, "subset_rank", binary_column_rank), \
-                mock.patch.object(matroid_mod, "subset_ranks", walk_ranks):
+        with mock.patch.object(matroid_mod, "subset_ranks", walk_ranks):
             assert report == matroid_mod.clifford_check(
                 C, mode="sample", count=1500, seed=seed
             )
@@ -349,10 +348,10 @@ def test_sampled_clifford_matches_the_column_walk():
 def test_binary_disjoint_bases_match_generic(C):
     packed = matroid_mod.find_two_disjoint_bases(C)
 
-    def generic(C, mask):
-        return code_mod._generic_rank(C, mask, C.k)
+    def generic(C, masks):
+        return [code_mod._generic_rank(C, mask, C.k) for mask in masks]
 
-    with mock.patch.object(matroid_mod, "subset_rank", generic):
+    with mock.patch.object(matroid_mod, "subset_ranks", generic):
         assert packed == matroid_mod.find_two_disjoint_bases(C)
 
 

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -32,7 +34,7 @@ from strategies import codes, make_code
 
 def test_rank_gen_poly_hamming(hamming74):
     W = rank_gen_poly(hamming74)
-    assert W.W.eval(1, 1) == 2**7  # one term per column subset
+    assert sum(W.W.terms.values()) == 2**7  # W(1, 1): one term per column subset
     assert W.W.coeff(4, 0) == 1  # empty set
     assert W.W.coeff(0, 3) == 1  # full set
     assert W.W.coeff(3, 0) == 7  # singletons, all independent
@@ -173,6 +175,26 @@ def test_find_two_disjoint_bases_capacity_guard():
     C = LinearCode(field=f, n=n, k=k, generator=gen)
     with pytest.raises(CapacityError):
         find_two_disjoint_bases(C)
+
+
+def reference_disjoint_bases(C):
+    """The lexicographically first k-subset that is a basis with a basis for
+    its complement, one subset at a time by `reference.column_rank`."""
+    full = (1 << C.n) - 1
+    for a in combinations(range(C.n), C.k):
+        mask = sum(1 << j for j in a)
+        if reference.column_rank(C, mask) == C.k == reference.column_rank(C, full ^ mask):
+            return a, tuple(j for j in range(C.n) if j not in a)
+    return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(codes(max_n=10, halves=True))
+# a zero column lies in one of any two k-sets, so no partition exists
+@example(make_code(3, [[1, 0, 1, 0], [0, 1, 2, 0]]))
+@example(make_code(9, [[1, 0, 0, 2, 5, 0], [0, 1, 0, 7, 3, 0], [0, 0, 1, 4, 8, 0]]))
+def test_find_two_disjoint_bases_matches_reference(C):
+    assert find_two_disjoint_bases(C) == reference_disjoint_bases(C)
 
 
 def test_dual_relation_fixtures(
