@@ -19,8 +19,11 @@ bitsets of the messages at which it takes each field value
 (`_value_sets`). It has three readers: codeword enumeration, the bitset
 route of the subset table, and point ranks (`subset_ranks`), which read
 intersections of its zero sets per chunk of columns. In characteristic 2
-the sets are cut from parity patterns; for odd q they are grown row by
-row."""
+the sets are cut from parity patterns. For odd q they are grown row by row
+for the columns whose first nonzero entry is 1, which the other columns
+relabel, and at the last row only for the values a reader asks for.
+Enumeration walks one offset per projective point, counted q - 1 times,
+since a nonzero multiple of a word has its weight."""
 
 from __future__ import annotations
 
@@ -227,32 +230,63 @@ _TABLE_WORDS = 1 << 12
 
 
 def _value_sets(field, rows, n):
-    """For each of the n columns of `rows`, the q bitsets by_value[c] of the
-    messages at which the column reads c; bit x is the message whose base-q
-    digits are the coefficients of the rows. For p = 2 they are split off
-    parity sets (`_parity_value_sets`). For odd q they are built row by row:
-    row r, with entry g, sends c to c + dg at digit d, a shift by d q^r.
-    Columns that agree on their first r entries share the sets over those
-    rows."""
+    """For each of the n columns of `rows`, its value sets: indexed by a field
+    value c, the bitset by_value[c] of the messages at which the column reads
+    c; bit x is the message whose base-q digits are the coefficients of the
+    rows. For p = 2 they are lists of all q sets, split off parity sets
+    (`_parity_value_sets`). For odd q they are built row by row: row r, with
+    entry g, sends c to c + dg at digit d, a shift by d q^r (`_grow_value`).
+    Only columns whose first nonzero entry is 1 are built; the column λ g
+    reads by_value[g][c / λ]. Columns that agree on their first r entries
+    share the sets over those rows, and at the last row a set is built only
+    when its value is asked for (`_Memo`)."""
     if field.p == 2:
         return _parity_value_sets(field, rows, n)
     q = field.q
-    add, mul = field.add_table, field.mul_table
+    add, mul, neg = field.add_table, field.mul_table, field.neg_table
     by_prefix = {(): [1] + [0] * (q - 1)}
     sets = []
     for j in range(n):
         column = tuple(row[j] for row in rows)
+        lead = next((g for g in column if g), 1)
+        unscale = mul[field.inv_table[lead]]
+        column = tuple(map(unscale.__getitem__, column))
         for r, g in enumerate(column):
             if column[: r + 1] in by_prefix:
                 continue
-            grown, width = [0] * q, q**r
-            for d in range(q):
-                shift = d * width
-                for to, s in zip(add[mul[d][g]], by_prefix[column[:r]]):
-                    grown[to] |= s << shift
-            by_prefix[column[: r + 1]] = grown
-        sets.append(by_prefix[column])
+            grow = partial(_grow_value, add, by_prefix[column[:r]], mul[neg[g]], q**r)
+            last = r + 1 == len(rows)
+            by_prefix[column[: r + 1]] = _Memo(grow) if last else list(map(grow, range(q)))
+        by_value = by_prefix[column]
+        sets.append(by_value if lead == 1 else _Memo(partial(_relabel, by_value, unscale)))
     return sets
+
+
+def _grow_value(add, parent, minus, width, c):
+    """The set of value c one row below the sets `parent` of the rows above,
+    at a row with entry g and digits of place value `width`: the union over
+    digits d of parent[c - dg] shifted by d width, with minus[d] = -dg."""
+    to, s = add[c], parent[c]  # digit 0
+    for d in range(1, len(minus)):
+        s |= parent[to[minus[d]]] << d * width
+    return s
+
+
+def _relabel(by_value, unscale, c):
+    # by_value[c / λ], with unscale the products by 1 / λ
+    return by_value[unscale[c]]
+
+
+class _Memo(dict):
+    """A dict that fills in the value of a missing key c with build(c)."""
+
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, c):
+        value = self[c] = self.build(c)
+        return value
 
 
 def _parity_value_sets(field, rows, n):
@@ -296,14 +330,18 @@ def _parity_value_sets(field, rows, n):
 
 
 def _offsets(field, rows, n):
-    """Every combination of rows, as a tuple of its n column values, depth
-    first; a node is its parent plus c times the next row."""
+    """One combination of rows per projective point, as (h, multiplicity)
+    with h the tuple of its n column values: the zero combination once, and
+    each combination whose first nonzero coefficient is 1, standing for its
+    q - 1 nonzero multiples. Depth first; a node is its parent plus c times
+    the next row, and a combination's first nonzero row starts it."""
     add, mul = field.add_table, field.mul_table
-    stack = [(0, (0,) * n)]
+    yield (0,) * n, 1
+    stack = [(r + 1, tuple(rows[r])) for r in range(len(rows))]
     while stack:
         r, h = stack.pop()
         if r == len(rows):
-            yield h
+            yield h, field.q - 1
             continue
         stack.append((r + 1, h))
         for c in range(1, field.q):
@@ -316,12 +354,15 @@ def _enumerate_counts(C):
 
     The block is the span of the first t rows, the most whose q^t messages
     fit in _TABLE_WORDS; the other rows give the offsets h (`_offsets`).
-    The offsets form a subspace, so the words x - h over all x and h are
-    the words of C. Column j of x - h is 0 exactly where x lies in
-    by_value[j][h_j] (`_value_sets`), and a bit-sliced counter adds these n
-    sets: bit i of its plane bits[i] is bit i of each message's number of
-    zeros. Splitting the block by the planes gives the messages with each
-    number of zeros, so memory does not grow with q^k.
+    The offsets span a subspace, so the words x - h over all x and all its
+    h are the words of C; since the block is a subspace too, the words of
+    x - λh are λ times those of x - h and have their weights, so one offset
+    per projective point is walked, its counts taken q - 1 times. Column j
+    of x - h is 0 exactly where x lies in by_value[j][h_j] (`_value_sets`,
+    which builds the last row's sets of the h_j walked), and a bit-sliced
+    counter adds these n sets: bit i of its plane bits[i] is bit i of each
+    message's number of zeros. Splitting the block by the planes gives the
+    messages with each number of zeros, so memory does not grow with q^k.
     """
     n, k = C.n, C.k
     t = 0
@@ -330,7 +371,7 @@ def _enumerate_counts(C):
     by_value = _value_sets(C.field, C.generator[:t], n)
     full = (1 << C.q**t) - 1
     counts = [0] * (n + 1)
-    for h in _offsets(C.field, C.generator[t:], n):
+    for h, multiplicity in _offsets(C.field, C.generator[t:], n):
         bits = []
         for sets, c in zip(by_value, h):
             carry = sets[c]
@@ -352,7 +393,7 @@ def _enumerate_counts(C):
                     split.append((zeros, s ^ on))
             parts = split
         for zeros, s in parts:
-            counts[n - zeros] += s.bit_count()
+            counts[n - zeros] += s.bit_count() * multiplicity
     return counts
 
 

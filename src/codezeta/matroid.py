@@ -312,10 +312,11 @@ def find_two_disjoint_bases(C):
     if n > 20:
         raise CapacityError("basis-partition search guarded at n <= 20")
     full = (1 << n) - 1
+    bits = [1 << j for j in range(n)]
     subsets = combinations(range(n), k)
     size = 1
     while block := list(islice(subsets, size)):
-        masks = [sum(1 << j for j in a) for a in block]
+        masks = [sum(map(bits.__getitem__, a)) for a in block]
         ranks = subset_ranks(C, masks + [full ^ mask for mask in masks])
         for a, mask, r, r_comp in zip(block, masks, ranks, ranks[len(block):]):
             if r == k and r_comp == k:

@@ -1,15 +1,17 @@
 """The kernels of `codezeta.code` against plain references: codeword
-enumeration and the message bitsets it shares with the subset table and the
-point ranks (in characteristic 2 against the prefix loop), the subset-rank
-DFS, the point ranks one at a time and in a batch on every route, and the
-row reduction in every field, and the binary echelon-row rank against the
-column walk and the generic reduction."""
+enumeration, its walk of one offset per projective point, and the message
+bitsets it shares with the subset table and the point ranks (in
+characteristic 2 against the prefix loop), the subset-rank DFS, the point
+ranks one at a time and in a batch on every route, and the row reduction in
+every field, and the binary echelon-row rank against the column walk and the
+generic reduction."""
 
 import dataclasses
 import random
 import tracemalloc
 from collections import Counter
-from itertools import repeat
+from itertools import product, repeat
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -21,6 +23,7 @@ from codezeta import matroid as matroid_mod
 from codezeta.code import (
     CapacityError,
     LinearCode,
+    parse_code,
     rref_rank,
     subset_rank_table,
     weight_distribution,
@@ -35,6 +38,8 @@ from reference import (
 )
 from reference import rref_rank as reference_rref_rank
 from strategies import codes, make_code
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 # The table size sets the block of messages counted at once: 1 makes every
@@ -59,12 +64,60 @@ from strategies import codes, make_code
          4)
 # q = 8 with k > n - k
 @example(make_code(8, [[1, 0, 0, 3, 5], [0, 1, 0, 7, 2], [0, 0, 1, 4, 6]]), 1)
+# two offset rows past the block of the kernel's size, in odd fields: the
+# fixtures gf3_189 (block 3^7) and gf9_125 (block 9^3)
+@example(parse_code((FIXTURES / "gf3_189.code").read_text()), 1 << 12)
+@example(parse_code((FIXTURES / "gf9_125.code").read_text()), 1 << 12)
 def test_enumeration_matches_reference(C, table_words):
     expected = enumerate_counts(C)
     with mock.patch.object(code_mod, "_TABLE_WORDS", table_words):
         assert code_mod._enumerate_counts(C) == expected
         if C.k < C.n:  # k > n - k enumerates the dual and transforms back
             assert list(weight_distribution(C).counts) == expected
+
+
+@st.composite
+def offset_cases(draw):
+    """0 to 3 rows over one of the seven fields whose first columns are the
+    identity, so that a combination's coefficients are its first r values,
+    then up to 3 random columns."""
+    field = field_new(draw(st.sampled_from(SUPPORTED_Q)))
+    r = draw(st.integers(0, 3))
+    symbol = st.integers(0, field.q - 1)
+    extra = draw(st.integers(0 if r else 1, 3))
+    rows = [[int(i == j) for j in range(r)] + [draw(symbol) for _ in range(extra)]
+            for i in range(r)]
+    return field, rows, r + extra
+
+
+@settings(max_examples=100, deadline=None)
+@given(offset_cases())
+def test_offsets_walk_one_combination_per_projective_point(case):
+    field, rows, n = case
+    q, r = field.q, len(rows)
+    offsets = list(code_mod._offsets(field, rows, n))
+    assert sum(multiplicity for _, multiplicity in offsets) == q**r
+    covered = Counter()
+    for h, multiplicity in offsets:
+        coefficients = h[:r]
+        lead = next((c for c in coefficients if c), None)
+        assert lead in (None, 1)
+        assert multiplicity == (1 if lead is None else q - 1)
+        scalars = [1] if lead is None else range(1, q)
+        covered.update(tuple(field.mul(c, v) for v in h) for c in scalars)
+    combinations = Counter()
+    for coefficients in product(range(q), repeat=r):
+        word = [0] * n
+        for c, row in zip(coefficients, rows):
+            word = [field.add(w, field.mul(c, g)) for w, g in zip(word, row)]
+        combinations[tuple(word)] += 1
+    assert covered == combinations
+
+
+def all_value_sets(field, rows, n):
+    """`_value_sets` with every value of every column asked for."""
+    return [[by_value[c] for c in range(field.q)]
+            for by_value in code_mod._value_sets(field, rows, n)]
 
 
 @st.composite
@@ -100,7 +153,7 @@ def test_value_sets_match_evaluation(case):
             word = [field.add(w, field.mul(digit, g)) for w, g in zip(word, row)]
         for j, c in enumerate(word):
             expected[j][c] |= 1 << x
-    assert code_mod._value_sets(field, rows, n) == expected
+    assert all_value_sets(field, rows, n) == expected
 
 
 @st.composite
@@ -127,26 +180,28 @@ def parity_value_set_cases(draw):
 @example((field_new(8), [[7, 3], [5, 0], [1, 6], [2, 2], [4, 1]], 2))  # 15 bits
 def test_parity_value_sets_match_prefix_loop(case):
     field, rows, n = case
-    assert code_mod._value_sets(field, rows, n) == value_sets(field, rows, n)
+    assert all_value_sets(field, rows, n) == value_sets(field, rows, n)
 
 
 def test_enumeration_memory_is_bounded():
-    # 2^18 codewords; a kernel holding them all would peak near 10 MB
-    rng = random.Random(11)
-    n, k = 36, 18
-    gen = tuple(
-        tuple((1 if j == i else 0) if j < k else rng.randrange(2) for j in range(n))
-        for i in range(k)
-    )
-    C = LinearCode(field=field_new(2), n=n, k=k, generator=gen)
-    tracemalloc.start()
-    try:
-        wd = weight_distribution(C)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert sum(wd.counts) == 2**k
-    assert peak < 4 * 2**20
+    # binary [36,18]: 2^18 codewords; a kernel holding them all would peak
+    # near 10 MB. q = 3 [30,15]: 3281 projective offsets; a kernel listing
+    # them would peak near 1.2 MB
+    for q, n, k, bound in ((2, 36, 18, 4 << 20), (3, 30, 15, 1 << 19)):
+        rng = random.Random(11)
+        gen = tuple(
+            tuple((1 if j == i else 0) if j < k else rng.randrange(q) for j in range(n))
+            for i in range(k)
+        )
+        C = LinearCode(field=field_new(q), n=n, k=k, generator=gen)
+        tracemalloc.start()
+        try:
+            wd = weight_distribution(C)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(wd.counts) == q**k
+        assert peak < bound
 
 
 # Every drawn code has q^min(k, n - k) <= 9^5 bits, so it takes the bitset
