@@ -194,14 +194,18 @@ def cmd_extremal(args):
         # the critical circle is |T| = q^(-1/2)
         radius = enum.q ** -0.5
         on_circle = all(abs(r - radius) <= 1e-9 for r in radii)
-        report["ultraspherical"] = {
+        if enum.q != 4:  # the identity is Type IV's; lambda is still read
+            holds = None
+        ultra = report["ultraspherical"] = {
             "m": m,
             "lambda": _frac(lam),
             "holds": holds,
             "radii": radii,
             "on_critical_circle": on_circle,
         }
-        ok = ok and holds and on_circle
+        if holds is None:
+            ultra["not_applicable"] = "the identity is Type IV's (q = 4)"
+        ok = ok and holds is not False and on_circle
     return report, ok
 
 

@@ -5,6 +5,13 @@ All coefficients are `fractions.Fraction`; every operation is exact and pure.
 Bivariate polynomials come from codes short enough for subset enumeration
 (n <= 22), so a dict keyed by exponent pairs is plenty. Univariate ones reach
 degree 2n for the extremal lengths up to 936, which a dense list holds.
+
+Each type keeps one invariant, and its constructor is the one place that
+enforces it: every coefficient is a `Fraction`; a `UniPoly` has no trailing
+zero, and a `BiPoly` stores no zero and one coefficient per key. Every
+operation builds its result through the constructor, and a scalar operand
+(an int or a Fraction) is first lifted to a constant polynomial by
+`_uni_scalar` or `_bi_scalar`.
 """
 
 from __future__ import annotations
@@ -41,18 +48,16 @@ class UniPoly:
         return not self.coeffs
 
     def __eq__(self, other):
+        other = _uni_scalar(other)
         if isinstance(other, UniPoly):
             return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self == UniPoly([other])
         return NotImplemented
 
     def __hash__(self):
         return hash(self.coeffs)
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = UniPoly([other])
+        other = _uni_scalar(other)
         n = max(len(self.coeffs), len(other.coeffs))
         return UniPoly(
             [self.coeff(i) + other.coeff(i) for i in range(n)]
@@ -64,9 +69,7 @@ class UniPoly:
         return UniPoly([-c for c in self.coeffs])
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = UniPoly([other])
-        return self + (-other)
+        return self + (-_uni_scalar(other))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -74,8 +77,6 @@ class UniPoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return UniPoly([c * other for c in self.coeffs])
-        if self.is_zero() or other.is_zero():
-            return UniPoly()
         out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
@@ -124,6 +125,13 @@ class UniPoly:
         return format_poly(self, "t")
 
 
+def _uni_scalar(value):
+    """An int or a Fraction as a constant UniPoly; anything else unchanged."""
+    if isinstance(value, (int, Fraction)):
+        return UniPoly([value])
+    return value
+
+
 def format_poly(p, var="t"):
     if p.is_zero():
         return "0"
@@ -145,20 +153,14 @@ class BiPoly:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms=None):
+    def __init__(self, terms=()):
+        """From a dict or an iterable of ((i, j), coeff) pairs; coefficients
+        that share a key are summed, and zero sums dropped."""
         t = {}
-        if terms:
-            for (i, j), c in (terms.items() if isinstance(terms, dict) else terms):
-                c = Fraction(c)
-                if c:
-                    key = (int(i), int(j))
-                    c0 = t.get(key)
-                    c = c if c0 is None else c0 + c
-                    if c:
-                        t[key] = c
-                    elif key in t:
-                        del t[key]
-        self.terms = t
+        for key, c in (terms.items() if isinstance(terms, dict) else terms):
+            c = c if type(c) is Fraction else Fraction(c)
+            t[key] = t[key] + c if key in t else c
+        self.terms = {key: c for key, c in t.items() if c}
 
     @classmethod
     def const(cls, c):
@@ -183,63 +185,35 @@ class BiPoly:
         return not self.terms
 
     def __eq__(self, other):
+        other = _bi_scalar(other)
         if isinstance(other, BiPoly):
             return self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
-            return self == BiPoly.const(other)
         return NotImplemented
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = BiPoly.const(other)
-        t = dict(self.terms)
-        for key, c in other.terms.items():
-            s = t.get(key, Fraction(0)) + c
-            if s:
-                t[key] = s
-            elif key in t:
-                del t[key]
-        out = BiPoly()
-        out.terms = t
-        return out
+        return BiPoly([*self.terms.items(), *_bi_scalar(other).terms.items()])
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = BiPoly()
-        out.terms = {k: -c for k, c in self.terms.items()}
-        return out
+        return BiPoly((key, -c) for key, c in self.terms.items())
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = BiPoly.const(other)
-        return self + (-other)
+        return self + (-_bi_scalar(other))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Fraction(other)
-            out = BiPoly()
-            if other:
-                out.terms = {k: c * other for k, c in self.terms.items()}
-            return out
-        t = {}
-        for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in other.terms.items():
-                key = (i1 + i2, j1 + j2)
-                s = t.get(key, Fraction(0)) + c1 * c2
-                if s:
-                    t[key] = s
-                elif key in t:
-                    del t[key]
-        out = BiPoly()
-        out.terms = t
-        return out
+        other = _bi_scalar(other)
+        return BiPoly(
+            ((i1 + i2, j1 + j2), c1 * c2)
+            for (i1, j1), c1 in self.terms.items()
+            for (i2, j2), c2 in other.terms.items()
+        )
 
     __rmul__ = __mul__
 
@@ -257,6 +231,13 @@ class BiPoly:
 
     def __repr__(self):
         return f"BiPoly({dict(self.sorted_terms())!r})"
+
+
+def _bi_scalar(value):
+    """An int or a Fraction as a constant BiPoly; anything else unchanged."""
+    if isinstance(value, (int, Fraction)):
+        return BiPoly.const(value)
+    return value
 
 
 class RatFun:

@@ -129,20 +129,17 @@ def greene_normalized_symmetric(A, Wn):
     monomials; the s-side is its mirror image, s and t swapped.
     """
     n, k, q = A.n, A.k, A.q
-    an = A.normalized.a_list
-    lhs = {}
-    for i, c in enumerate(an):
-        for j in range(n + 2):
-            key = (2 * n + 1 - i - j, i + j)
-            lhs[key] = lhs.get(key, 0) + c * comb(n + 1, j)
-    side = {
-        (n + 1 + s_exp, t_exp): c
+    lhs = BiPoly(
+        ((2 * n + 1 - i - j, i + j), c * comb(n + 1, j))
+        for i, c in enumerate(A.normalized.a_list)
+        for j in range(n + 2)
+    )
+    side = [
+        ((n + 1 + s_exp, t_exp), c)
         for (s_exp, t_exp), c in _greene_terms(Wn.Wn.terms, q, n, k, 1).items()
-    }
-    rhs = dict(side)
-    for (s_exp, t_exp), c in side.items():
-        rhs[t_exp, s_exp] = rhs.get((t_exp, s_exp), 0) + c
-    return BiPoly(lhs) == BiPoly(rhs)
+    ]
+    rhs = BiPoly(side + [((t_exp, s_exp), c) for (s_exp, t_exp), c in side])
+    return lhs == rhs
 
 
 def puncture_shorten_wn(Wn, which):

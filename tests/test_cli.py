@@ -178,15 +178,17 @@ def test_extremal_ultraspherical_below_d_3_is_not_applicable(q, c, n, capsys):
 @pytest.mark.parametrize("q,c,n", [(2, 4, 24), (3, 3, 12)])
 def test_extremal_critical_circle_radius_comes_from_q(q, c, n, capsys):
     # the Golay enumerators: every zero lies on |T| = q^(-1/2); the identity
-    # checked is Type IV's, so `holds` stays false
+    # is Type IV's, so for these types it is not applicable and `ok` rests on
+    # the circle
     args = ["--q", str(q), "--c", str(c), "--n", str(n), "--ultraspherical"]
-    assert run(["--json", "extremal", *args]) == 1
+    assert run(["--json", "extremal", *args]) == 0
     ultra = json.loads(capsys.readouterr().out)["ultraspherical"]
     assert ultra["radii"] and all(
         r == pytest.approx(q ** -0.5, abs=1e-9) for r in ultra["radii"]
     )
     assert ultra["on_critical_circle"] is True
-    assert ultra["holds"] is False
+    assert ultra["holds"] is None
+    assert ultra["not_applicable"] == "the identity is Type IV's (q = 4)"
 
 
 def test_extremal_over_the_guard_exits_2(capsys):
