@@ -9,21 +9,22 @@ is built by calling `dual_code`, `weight_distribution` or
 `subset_rank_table` through this module's globals, so a caller who
 replaces one of them (to count or time it) sees every call. It also keeps
 its reduced echelon form (`_echelon`), the zero sets of the smaller of it
-and its dual (`_zero_sets`) and the tables its point ranks are read from
-(`_zero_set_chunks`), and a `WeightDistribution` keeps its normalized form
-(`normalized`). The full space, k = n, is an ordinary code: its dual is the
-[n, 0] zero code.
+and its dual (`_zero_sets`, None past 2^16 bits) and the tables its point
+ranks are read from (`_zero_set_chunks`), and a `WeightDistribution` keeps
+its normalized form (`normalized`). The full space, k = n, is an ordinary
+code: its dual is the [n, 0] zero code.
 
 Both exponential layers read one representation: for each column, the
 bitsets of the messages at which it takes each field value
 (`_value_sets`). It has three readers: codeword enumeration, the bitset
 route of the subset table, and point ranks (`subset_ranks`), which read
-intersections of its zero sets per chunk of columns. In characteristic 2
-the sets are cut from parity patterns. For odd q they are grown row by row
-for the columns whose first nonzero entry is 1, which the other columns
-relabel, and at the last row only for the values a reader asks for.
-Enumeration walks one offset per projective point, counted q - 1 times,
-since a nonzero multiple of a word has its weight."""
+intersections of its zero sets per chunk of columns; past the zero sets,
+in every field, the point ranks are read off the reduced echelon rows. In
+characteristic 2 the sets are cut from parity patterns. For odd q they are
+grown row by row for the columns whose first nonzero entry is 1, which the
+other columns relabel, and at the last row only for the values a reader
+asks for. Enumeration walks one offset per projective point, counted q - 1
+times, since a nonzero multiple of a word has its weight."""
 
 from __future__ import annotations
 
@@ -72,17 +73,11 @@ class LinearCode:
         return rref_rank(self.field, self.generator)
 
     @cached_property
-    def _packed_echelon(self):
-        # for q = 2: the pivot columns as an n-bit mask, and the reduced
-        # echelon rows as (pivot bit, n-bit int) pairs, bit j from column j
-        _, rows, pivots = self._echelon
-        packed = [sum(v << j for j, v in enumerate(row)) for row in rows]
-        bits = [1 << j for j in pivots]
-        return sum(bits), tuple(zip(bits, packed))
-
-    @cached_property
     def _zero_sets(self):
-        # the zero sets of the smaller of C and its dual
+        # the zero sets of the smaller of C and its dual, or None when they
+        # are wider than _ZERO_SET_BITS
+        if self.q ** min(self.k, self.n - self.k) > _ZERO_SET_BITS:
+            return None
         return _zero_sets(self.dual if 2 * self.k > self.n else self)
 
     @cached_property
@@ -469,10 +464,10 @@ def weight_distribution(C):
 
 
 # Widest zero sets, in bits (q^min(k, n - k) messages), that the subset pass
-# and the point ranks intersect; wider codes take the reduce DFS and the
-# echelon ranks. For the pass the two routes cost about the same between
-# 2^16 and 2^17 bits (the crossover moves with n), and the DFS is faster
-# beyond.
+# and the point ranks intersect (`LinearCode._zero_sets`); wider codes take
+# the reduce DFS and the echelon ranks. For the pass the two routes cost
+# about the same between 2^16 and 2^17 bits (the crossover moves with n),
+# and the DFS is faster beyond.
 _ZERO_SET_BITS = 1 << 16
 # Bits of zero sets held at once: in the subset pass, the block of the last
 # columns; for point ranks, the per-chunk tables. A set counts as at least
@@ -482,18 +477,16 @@ _BLOCK_BITS = 1 << 22
 
 def _zero_set_chunks(C):
     """The point-rank tables of C (see `subset_ranks`), or None when its
-    ranks take the echelon routes. With Z_j the zero sets (`C._zero_sets`),
+    ranks take the echelon route. With Z_j the zero sets (`C._zero_sets`),
     table c holds, for each value v of the w-bit chunk c of a column mask,
     the intersection of the Z_j with j = c w + i over the bits i of v. w is
     the largest up to 8 with ceil(n / w) 2^w max(q^m, 2^8) <= _BLOCK_BITS."""
     n, k = C.n, C.k
     m = min(k, n - k)
     words = C.q**m
-    if words > _ZERO_SET_BITS:
-        return None
     width = next((w for w in range(8, 0, -1)
                   if -(-n // w) * max(words, 1 << 8) << w <= _BLOCK_BITS), 0)
-    if not width:
+    if not width or C._zero_sets is None:
         return None
     zeros = C._zero_sets
     full = (1 << words) - 1
@@ -524,47 +517,28 @@ def _reduce_column(field, basis, vec):
     return basis + ((pivot, tuple(scale[v] for v in cur)),)
 
 
-def _binary_rank(C, mask, stop):
-    """Rank over GF(2) of the columns in mask, read off the reduced echelon
-    rows: each pivot column in mask is a unit vector, so
+def _echelon_rank(C, mask, stop):
+    """min(stop, rank) of the columns in mask, read off the reduced echelon
+    rows (`C._echelon`): each pivot column in mask is a unit vector, so
     r(A) = |A ∩ pivots| + the rank of the rows whose pivot lies outside A,
     read on A (where they are zero at A's pivot columns). Those rows are
-    reduced by XOR, pivoting on the lowest set bit, until the rank reaches
-    `stop`."""
-    pivots, rows = C._packed_echelon
-    rank = (mask & pivots).bit_count()
-    if rank >= stop:
-        return stop
-    basis = []
-    for bit, row in rows:
-        if mask & bit:
-            continue
-        x = row & mask
-        for low, v in basis:
-            if x & low:
-                x ^= v
-        if x:
-            rank += 1
-            if rank == stop:
-                return rank
-            basis.append((x & -x, x))
-    return rank
-
-
-def _generic_rank(C, mask, stop):
-    field, columns = C.field, C._columns
+    reduced by `_reduce_column` until the rank reaches `stop`."""
+    _, rows, pivots = C._echelon
+    taken = [mask >> j & 1 for j in range(C.n)]
+    rank = sum(map(taken.__getitem__, pivots))
     basis = ()
-    while mask and len(basis) < stop:
-        low = mask & -mask
-        mask ^= low
-        basis = _reduce_column(field, basis, columns[low.bit_length() - 1])
-    return len(basis)
+    for row, pivot in zip(rows, pivots):
+        if rank + len(basis) >= stop:
+            break
+        if not taken[pivot]:
+            basis = _reduce_column(C.field, basis, list(compress(row, taken)))
+    return min(stop, rank + len(basis))
 
 
 def subset_ranks(C, masks, stops=None):
     """min(stop, rank) of the generator columns in each mask (bit j is
     column j), for stops >= 0; `stops` defaults to k for every mask, which
-    gives the exact ranks. Three routes:
+    gives the exact ranks. Two routes, the same in every field:
 
     - when m = min(k, n - k) has q^m <= _ZERO_SET_BITS and the chunk tables
       fit (`_zero_set_chunks`), the ranks are read off zero sets, as in the
@@ -574,14 +548,12 @@ def subset_ranks(C, masks, stops=None):
       tables' entries. The lookups, ANDs, popcounts and exponents run as
       chained C-level `map`s over all the masks at once. For k = n the dual
       is {0}: every Z_j is 1, and every rank reads |A|;
-    - otherwise, for q = 2, off the reduced echelon rows (`_binary_rank`);
-    - otherwise by a walk over the columns that ends once the rank reaches
-      its stop (`_generic_rank`)."""
+    - otherwise off the reduced echelon rows, one mask at a time, each
+      stopped once its rank reaches its stop (`_echelon_rank`)."""
     stops = repeat(C.k) if stops is None else stops
     chunks = C._zero_set_chunks
     if chunks is None:
-        rank = _binary_rank if C.q == 2 else _generic_rank
-        return list(map(rank, repeat(C), masks, stops))
+        return list(map(_echelon_rank, repeat(C), masks, stops))
     width, tables, on_dual, exponent = chunks
     masks = list(masks)
     keys = list(map(operator.xor, masks, repeat((1 << C.n) - 1))) if on_dual else masks
@@ -620,9 +592,9 @@ def subset_rank_table(C):
     2^n subsets; guarded at n <= 22."""
     if C.n > SUBSET_N_MAX:
         raise CapacityError(f"subset enumeration guarded at n <= {SUBSET_N_MAX}")
-    if C.q ** min(C.k, C.n - C.k) <= _ZERO_SET_BITS:
-        return _bitset_table(C)
-    return _dfs_table(C)
+    if C._zero_sets is None:
+        return _dfs_table(C)
+    return _bitset_table(C)
 
 
 def _zero_sets(D):

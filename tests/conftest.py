@@ -45,6 +45,11 @@ def pair22():
 
 
 @pytest.fixture(scope="session")
+def pless11():
+    return load_code("pless11.code")
+
+
+@pytest.fixture(scope="session")
 def selfdual105():
     """A seeded random column permutation of ext-Hamming + {00,11}; self-dual."""
     rng = random.Random(20260823)

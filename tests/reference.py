@@ -5,8 +5,8 @@ closed-form zeta and ultraspherical constructions, the Gegenbauer
 polynomials (by a grid count of their sign changes), the Newton
 interpolation, the two-variable zeta and self-relation and the Clifford
 decomposition of `codezeta` are tested against, among them routes that
-`codezeta` used before: the binary column walk, the prefix loop of the
-message bitsets in characteristic 2, the full Krawtchouk table,
+`codezeta` used before: the column walk of the point ranks, the prefix
+loop of the message bitsets in characteristic 2, the full Krawtchouk table,
 Z(T,u) by substitution and synthetic division by (u - 1), the flipped and
 cross-multiplied Z(T,u) and the null-space subcodes."""
 
@@ -257,38 +257,19 @@ def subset_ranks(C):
         stack.append((j + 1, mask | (1 << j), size + 1, grown))
 
 
-def column_rank(C, mask):
-    """Rank of the generator columns whose bits are set in mask, each
-    reduced against a tuple echelon basis over GF(q)."""
+def column_rank(C, mask, stop=None):
+    """min(stop, rank) of the generator columns whose bits are set in mask,
+    or their rank when stop is None: each column reduced against a tuple
+    echelon basis over GF(q), walking the columns until the rank reaches
+    `stop`."""
     basis = ()
     for j in range(C.n):
+        if stop is not None and len(basis) >= stop:
+            break
         if mask >> j & 1:
             column = tuple(row[j] for row in C.generator)
             basis = _reduce_column(C.field, basis, column)
     return len(basis)
-
-
-def binary_column_rank(C, mask, stop):
-    """min(stop, rank) over GF(2) of the columns whose bits are set in mask:
-    each column packed into a k-bit int (bit i from row i) and put into an
-    XOR basis keyed by leading bit, walking the columns until the rank
-    reaches `stop`."""
-    columns = [sum(row[j] << i for i, row in enumerate(C.generator)) for j in range(C.n)]
-    basis = {}
-    rank = 0
-    while mask and rank < stop:
-        low = mask & -mask
-        mask ^= low
-        x = columns[low.bit_length() - 1]
-        while x:
-            lead = x.bit_length()
-            b = basis.get(lead)
-            if b is None:
-                basis[lead] = x
-                rank += 1
-                break
-            x ^= b
-    return rank
 
 
 def rref_rank(field, matrix):

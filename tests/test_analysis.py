@@ -197,6 +197,25 @@ def test_one_zero_set_build_per_report(monkeypatch, path):
     assert counts == {"_zero_sets": int(bitsets and not refused)}
 
 
+def _within_zero_sets(path):
+    C = parse_code(path.read_text())
+    return C.q ** min(C.k, C.n - C.k) <= code_mod._ZERO_SET_BITS
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in FIXTURES if _within_zero_sets(p)], ids=lambda p: p.stem
+)
+def test_no_echelon_ranks_within_the_zero_sets(monkeypatch, path):
+    # within 2^16 zero-set bits the subset pass and the sampled ranks both
+    # read zero sets: no rank is read off the echelon rows and no column is
+    # reduced
+    C = parse_code(path.read_text())
+    counts = _count_calls(monkeypatch, ("_echelon_rank", "_reduce_column"))
+    _run_json(["report", str(path)], refused=_refused(C, 1))
+    _run_json(["clifford", str(path), "--sample", "1500"])
+    assert counts == {"_echelon_rank": 0, "_reduce_column": 0}
+
+
 @pytest.mark.parametrize("path", FIXTURES, ids=lambda p: p.stem)
 def test_one_normalization_per_distribution(monkeypatch, path):
     # `report` normalizes each weight distribution it reads, the code's and

@@ -50,6 +50,14 @@ def test_extremal_type_III_n12():
     assert ext.counts == (1, 0, 0, 0, 0, 0, 264, 0, 0, 440, 0, 0, 24)
 
 
+def test_extremal_type_III_n24_is_the_pless_code(pless11):
+    # Gleason synthesis against enumeration at n = 24: the Pless symmetry
+    # code over GF(3), p = 11, is extremal Type III with d = 9
+    ext = extremal_sd_enumerator(3, 3, 24)
+    assert ext.d == 9 and ext.unique and ext.nonnegative
+    assert ext.counts == weight_distribution(pless11).counts
+
+
 def test_extremal_rejects_bad_parameters():
     with pytest.raises(ValueError):
         extremal_sd_enumerator(5, 2, 6)

@@ -2,9 +2,9 @@
 enumeration, its walk of one offset per projective point, and the message
 bitsets it shares with the subset table and the point ranks (in
 characteristic 2 against the prefix loop), the subset-rank DFS, the point
-ranks one at a time and in a batch on every route, and the row reduction in
-every field, and the binary echelon-row rank against the column walk and the
-generic reduction."""
+ranks one at a time and in a batch on every route, the echelon-row rank
+against the column walk at every stop, and the row reduction, each in every
+field."""
 
 import dataclasses
 import random
@@ -30,7 +30,6 @@ from codezeta.code import (
 )
 from codezeta.gf import SUPPORTED_Q, field_new
 from reference import (
-    binary_column_rank,
     column_rank,
     enumerate_counts,
     subset_ranks,
@@ -236,7 +235,7 @@ def test_subset_dfs_matches_reference(C):
     low = [(mask, rank) for mask, size, rank in expected if 2 * rank <= size]
     for name, value in TABLE_ROUTES:
         with mock.patch.object(code_mod, name, value):
-            table = subset_rank_table(C)
+            table = subset_rank_table(dataclasses.replace(C))  # its own zero sets
         assert table.counts == counts
         assert list(table.counts) == list(counts)  # first seen in DFS order
         assert list(zip(table.low_masks, table.low_ranks)) == low
@@ -278,7 +277,7 @@ def test_subset_pass_guard_comes_first():
 
 # The chunk width the kernel takes; a budget of 2^13 bits, which gives
 # narrower chunks (at most 5 columns) and, for the wider zero sets of the
-# longer codes, no tables (the echelon routes); and the echelon routes for
+# longer codes, no tables (the echelon route); and the echelon route for
 # every code
 RANK_ROUTES = [
     ("_BLOCK_BITS", code_mod._BLOCK_BITS),
@@ -351,10 +350,15 @@ def test_rank_tables_memory_is_bounded(q, n, k):
 
 
 @st.composite
-def binary_rank_queries(draw):
-    """A binary code with n <= 30 and k <= 14 (so 2k < n at n = 29, 30) and
-    five column masks."""
-    C = draw(codes(fields=(2,), max_n=30, max_words=1 << 14))
+def echelon_rank_queries(draw):
+    """A code over one of the seven fields, binary up to n = 30 and k = 14
+    (so 2k < n at n = 29, 30) and the others up to n = 12, its pivots
+    anywhere and some columns zero, and five column masks."""
+    q = draw(st.sampled_from(SUPPORTED_Q))
+    if q == 2:
+        C = draw(codes(fields=(2,), max_n=30, max_words=1 << 14))
+    else:
+        C = draw(codes(fields=(q,), max_n=12, max_words=9**6))
     column = st.integers(0, C.n - 1)
     # a repeated column is one bit
     masks = [sum(1 << j for j in set(draw(st.lists(column, max_size=C.n + 2))))
@@ -362,52 +366,68 @@ def binary_rank_queries(draw):
     return C, masks
 
 
-@settings(max_examples=100, deadline=None)
-@given(binary_rank_queries())
+@settings(max_examples=150, deadline=None)
+@given(echelon_rank_queries())
 @example((make_code(2, [[1, 0, 0], [0, 1, 0], [1, 1, 1]]), [0b101, 0b111]))  # k = n
 @example((make_code(2, [[1, 1, 0, 1, 1]]), [0b00100, 0b01100, 0]))  # k = 1, a zero column
 # a zero column
 @example((make_code(2, [[1, 0, 1, 0, 1, 1], [0, 1, 1, 0, 0, 1]]), [0b001000, 0b101010]))
-def test_binary_rank_matches_generic(query):
-    # the echelon-row rank against the column walk and the generic reduction,
-    # at every stop from 0 to k + 1
+# pivots at columns 1 and 4, past a zero column 0
+@example((make_code(3, [[0, 2, 1, 1, 0], [0, 1, 2, 2, 1]]), [0b11110, 0b10101, 0b01010]))
+@example((make_code(7, [[3, 0, 0], [0, 2, 6], [0, 4, 2]]), [0b110, 0b011, 0b111]))  # k = n
+@example((make_code(9, [[0, 5, 8, 3]]), [0b0001, 0b1110, 0b1111]))  # k = 1, a zero column
+# 2k > n over GF(8), pivots at columns 0, 1 and 4
+@example((make_code(8, [[0, 3, 1, 5, 7], [0, 6, 2, 1, 4], [1, 0, 0, 2, 3]]),
+          [0b00110, 0b11001, 0b11111]))
+def test_echelon_rank_matches_reference(query):
+    # the echelon-row rank against the column walk, at every stop from 0 to
+    # k + 1
     C, masks = query
     for mask in masks:
-        assert code_mod._binary_rank(C, mask, C.k) == code_mod._generic_rank(C, mask, C.k)
         for stop in range(C.k + 2):
-            expected = binary_column_rank(C, mask, stop)
-            assert code_mod._binary_rank(C, mask, stop) == expected
-            assert code_mod._generic_rank(C, mask, stop) == expected
+            assert code_mod._echelon_rank(C, mask, stop) == column_rank(C, mask, stop)
 
 
 def test_sampled_clifford_matches_the_column_walk():
-    # a systematic binary [28, 10] code; every seed draws its own 1500 masks
+    # a systematic binary [28, 10] code, read off zero sets, and three
+    # fixtures past 2^16 zero-set bits, read off the echelon rows: bin34_17
+    # (2^17), gf7_126 (7^6) and the Pless code pless11 (3^12); every seed
+    # draws its own 1500 masks
     rng = random.Random(28)
     n, k = 28, 10
-    C = make_code(2, [
+    samples = [make_code(2, [
         [int(j == i) if j < k else rng.randrange(2) for j in range(n)] for i in range(k)
-    ])
-    def walk_ranks(C, masks, stops):
-        return list(map(binary_column_rank, repeat(C), masks, stops))
+    ])]
+    samples += [parse_code((FIXTURES / f"{stem}.code").read_text())
+                for stem in ("bin34_17", "gf7_126", "pless11")]
+    assert [C._zero_set_chunks is None for C in samples] == [False, True, True, True]
 
-    for seed in range(4):
-        report = matroid_mod.clifford_check(C, mode="sample", count=1500, seed=seed)
-        with mock.patch.object(matroid_mod, "subset_ranks", walk_ranks):
-            assert report == matroid_mod.clifford_check(
-                C, mode="sample", count=1500, seed=seed
-            )
+    def walk_ranks(C, masks, stops):
+        return list(map(column_rank, repeat(C), masks, stops))
+
+    for C in samples:
+        for seed in range(4):
+            report = matroid_mod.clifford_check(C, mode="sample", count=1500, seed=seed)
+            with mock.patch.object(matroid_mod, "subset_ranks", walk_ranks):
+                assert report == matroid_mod.clifford_check(
+                    C, mode="sample", count=1500, seed=seed
+                )
 
 
 @settings(max_examples=60, deadline=None)
-@given(codes(fields=(2,), max_n=12, halves=True))
-def test_binary_disjoint_bases_match_generic(C):
-    packed = matroid_mod.find_two_disjoint_bases(C)
+@given(codes(max_n=12, halves=True))
+def test_disjoint_bases_match_on_the_echelon_route(C):
+    # the search with its ranks read off the echelon rows, in every field,
+    # against the same search on the column walk
+    def walk_ranks(C, masks):
+        return [column_rank(C, mask) for mask in masks]
 
-    def generic(C, masks):
-        return [code_mod._generic_rank(C, mask, C.k) for mask in masks]
-
-    with mock.patch.object(matroid_mod, "subset_ranks", generic):
-        assert packed == matroid_mod.find_two_disjoint_bases(C)
+    with mock.patch.object(matroid_mod, "subset_ranks", walk_ranks):
+        expected = matroid_mod.find_two_disjoint_bases(C)
+    with mock.patch.object(code_mod, "_ZERO_SET_BITS", 0):
+        fresh = dataclasses.replace(C)  # builds its own tables
+        assert fresh._zero_set_chunks is None
+        assert matroid_mod.find_two_disjoint_bases(fresh) == expected
 
 
 @st.composite
