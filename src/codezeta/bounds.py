@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, gcd
+from math import comb, factorial, gcd, lcm
 
 from .exactmath import UniPoly, interpolate
 
@@ -24,13 +24,45 @@ class GwPoly:
 
 
 def _difference_values(a, c):
-    """(a_w - (q-1)^c a_{w-c})(-1)^(w-d) for w = c..n."""
-    q, d, n = a.q, a.d, a.n
-    scale = (q - 1) ** c
-    return [
-        (Fraction(a.a_list[w]) - scale * a.a_list[w - c]) * (-1) ** (w - d)
-        for w in range(c, n + 1)
+    """(values, L): the integers
+    values[w - c] = (N_w - (q-1)^c N_{w-c})(-1)^(w-d) for w = c..n, with
+    (N, L) = `a.scaled`, so that values[w - c] / L is
+    (a_w - (q-1)^c a_{w-c})(-1)^(w-d)."""
+    N, L = a.scaled
+    scale, d = (a.q - 1) ** c, a.d
+    values = [
+        (N[w] - scale * N[w - c]) * (-1 if (w - d) % 2 else 1)
+        for w in range(c, a.n + 1)
     ]
+    return values, L
+
+
+def _integer_form(p):
+    """(N, D): integers N_i and D > 0 with p(t) = sum_i N_i t^i / D."""
+    D = lcm(*(c.denominator for c in p.coeffs))
+    return [c.numerator * (D // c.denominator) for c in p.coeffs], D
+
+
+def _horner(coeffs, w):
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * w + c
+    return acc
+
+
+def _fit(values, L, first, use):
+    """Interpolate through (first + i, values[i] / L) for i = 0..use, one
+    Fraction per point, and return the polynomial and the first later
+    w = first + i whose value it misses (None if it meets them all),
+    compared on integers."""
+    poly = interpolate([(first + i, Fraction(values[i], L)) for i in range(use + 1)])
+    ints, D = _integer_form(poly)
+    miss = next(
+        (first + i for i in range(use + 1, len(values))
+         if _horner(ints, first + i) * L != values[i] * D),
+        None,
+    )
+    return poly, miss
 
 
 def g_poly(a, d_dual):
@@ -38,15 +70,13 @@ def g_poly(a, d_dual):
     the remaining values w = n-d_dual+2..n extrapolate correctly and the
     degree is exactly n-d_dual."""
     n, d = a.n, a.d
-    values = _difference_values(a, 1)  # indexed by w-1
+    values, L = _difference_values(a, 1)  # indexed by w-1
     deg = n - d_dual
-    points = [(w, values[w - 1]) for w in range(1, deg + 2)]
-    g = interpolate(points)
-    for w in range(deg + 2, n + 1):
-        if g(w) != values[w - 1]:
-            raise LemmaCheckError(
-                f"g(w) fails to extrapolate the value at w={w}"
-            )
+    g, miss = _fit(values, L, 1, deg)
+    if miss is not None:
+        raise LemmaCheckError(
+            f"g(w) fails to extrapolate the value at w={miss}"
+        )
     if g.degree != deg:
         raise LemmaCheckError(
             f"deg g = {g.degree}, expected exactly {deg}"
@@ -82,18 +112,14 @@ def h_poly(a, c, d_dual):
     if c < 1:
         raise ValueError("divisor c must be >= 1")
     n = a.n
-    values = _difference_values(a, c)  # indexed by w-c
+    values, L = _difference_values(a, c)  # indexed by w-c
     bound = n - d_dual
-    if a.q == 2 and a.a_list[n] != 0 and all(
-        aw == 0 for w, aw in enumerate(a.a_list) if w % 2
-    ):
+    if a.q == 2 and a.counts[n] and not any(a.counts[1::2]):
         bound -= 1
     use = min(bound, n - c)
-    points = [(c + i, values[i]) for i in range(use + 1)]
-    h = interpolate(points)
-    for w in range(c + use + 1, n + 1):
-        if h(w) != values[w - c]:
-            raise LemmaCheckError(f"h(w) fails the prescribed value at w={w}")
+    h, miss = _fit(values, L, c, use)
+    if miss is not None:
+        raise LemmaCheckError(f"h(w) fails the prescribed value at w={miss}")
     if h.degree > bound:
         raise LemmaCheckError(
             f"deg h = {h.degree} exceeds the claimed bound {bound}"
@@ -187,8 +213,10 @@ def subcode_average_identity(a, d_dual):
 
 def zero_count_audit(g_or_h, expected_zeros, w_min, w_max):
     """Count integer zeros of the polynomial on [w_min, w_max] and compare
-    with a claimed lower bound (the bound may be fractional)."""
-    zeros = [w for w in range(w_min, w_max + 1) if g_or_h(w) == 0]
+    with a claimed lower bound (the bound may be fractional). The zeros are
+    those of its integer numerator, found by Horner's rule on integers."""
+    ints, _ = _integer_form(g_or_h)
+    zeros = [w for w in range(w_min, w_max + 1) if _horner(ints, w) == 0]
     bound = Fraction(expected_zeros)
     return {
         "zeros": zeros,

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import bounds as bounds_mod
 from . import enumerator as enum_mod
@@ -23,8 +22,8 @@ from .gf import FieldError
 
 
 def _frac(v):
-    f = Fraction(v)
-    return f"{f.numerator}/{f.denominator}"
+    """An int or a Fraction as "numerator/denominator"."""
+    return f"{v.numerator}/{v.denominator}"
 
 
 def _uni(p, var="T"):

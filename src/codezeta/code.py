@@ -157,15 +157,15 @@ def parse_code(text):
     rows = []
     for line in lines[1:]:
         try:
-            row = [int(v) for v in line.split()]
+            row = tuple(map(int, line.split()))
         except ValueError:
             raise ParseError(f"non-integer symbol in row {line!r}") from None
         if len(row) != n:
             raise ParseError(f"row {line!r} has {len(row)} symbols, expected {n}")
-        for v in row:
-            if not 0 <= v < q:
-                raise ParseError(f"symbol {v} out of range for GF({q})")
-        rows.append(tuple(row))
+        if min(row) < 0 or max(row) >= q:
+            v = next(v for v in row if not 0 <= v < q)
+            raise ParseError(f"symbol {v} out of range for GF({q})")
+        rows.append(row)
     C = LinearCode(field=field, n=n, k=k, generator=tuple(rows))
     if C._echelon[0] < k:
         raise ParseError(f"generator matrix has rank {C._echelon[0]} < k = {k}")
@@ -398,38 +398,37 @@ def _min_weight(counts):
     return next((i for i in range(1, len(counts)) if counts[i]), len(counts))
 
 
-def _krawtchouk_sums(q, n, counts):
-    """sum_i A_i K_j(i) for j = 0 .. n, where
-    K_j(i) = sum_s (-1)^s (q-1)^(j-s) C(i, s) C(n-i, j-s) is the Krawtchouk
-    value, by the three-term recurrence
-    (j+1) K_{j+1}(i) = [(q-1)(n-j) + j - q i] K_j(i) - (q-1)(n-j+1) K_{j-1}(i)
-    run on the products A_i K_j(i), only at the weights i with A_i nonzero:
-    O(n) integer steps per such weight."""
-    support = [i for i, a in enumerate(counts) if a]
-    slopes = [q * i for i in support]
-    prev, cur = [0] * len(support), [counts[i] for i in support]
-    sums = [sum(cur)]
-    for j in range(n):
-        a, b = (q - 1) * (n - j) + j, (q - 1) * (n - j + 1)
-        prev, cur = cur, [
-            ((a - s) * c - b * p) // (j + 1) for s, c, p in zip(slopes, cur, prev)
-        ]
-        sums.append(sum(cur))
-    return sums
-
-
 def macwilliams_counts(q, n, k, counts):
     """Dual weight distribution via the MacWilliams transform on counts:
-    sum_i A_i K_j(i) over q^k for each j."""
+    q^k B_j is the x^j coefficient of
+    f(x) = sum_i A_i (1 + (q-1)x)^(n-i) (1 - x)^i.
+
+    The coefficients are read off one integer, f(2^B) (Kronecker
+    substitution), built by Horner's rule over the counts: multiplying by
+    1 + (q-1)2^B or 1 - 2^B is a shift and an add. The absolute coefficients
+    of each term's product sum to q^(n-i) 2^i <= q^n, so every coefficient
+    of f is below S = q^n sum_i |A_i| < 2^(B-2) in size. Adding 2^(B-1) to
+    each B-bit slot makes every slot nonnegative, so they decode by shifts
+    and masks, signs included."""
+    B = (q**n * sum(map(abs, counts))).bit_length() + 2
+    acc, power = 0, 1  # power = (1 - 2^B)^i at A_i
+    for a in counts:
+        acc += (acc * (q - 1)) << B
+        if a:
+            acc += a * power
+        power -= power << B
+    mask, half = (1 << B) - 1, 1 << (B - 1)
+    # half in every one of the n + 1 slots
+    acc += ((1 << (B * (n + 1))) - 1) // mask * half
     size = q**k
     out = []
-    for total in _krawtchouk_sums(q, n, counts):
-        acc, rem = divmod(total, size)
+    for j in range(n + 1):
+        total, rem = divmod(((acc >> (j * B)) & mask) - half, size)
         if rem:
             raise ValueError("MacWilliams transform produced a non-integral count")
-        if acc < 0:
+        if total < 0:
             raise ValueError("MacWilliams transform produced a negative count")
-        out.append(acc)
+        out.append(total)
     return out
 
 

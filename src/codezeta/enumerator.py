@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from .code import _min_weight
 from .exactmath import UniPoly
@@ -14,13 +14,40 @@ from .exactmath import UniPoly
 
 @dataclass(frozen=True)
 class NormalizedEnumerator:
-    """a_w = A_w / C(n, w); a(t) = (a_d + a_{d+1} t + ... + a_n t^{n-d})/(q-1)."""
+    """a_w = A_w / C(n, w); a(t) = (a_d + a_{d+1} t + ... + a_n t^{n-d})/(q-1).
+
+    Kept as the counts A_0 .. A_n: ints, or Fractions for an averaged
+    distribution. The zeta polynomial and the bounds read the a_w as
+    integers over one denominator (`scaled`); `a_list` and `a_poly` are
+    built as Fractions when first read."""
 
     q: int
     n: int
     d: int
-    a_list: tuple  # a_0 .. a_n as Fraction
-    a_poly: UniPoly
+    counts: tuple
+
+    @cached_property
+    def scaled(self):
+        """(N, L), N_0 .. N_n integers and L > 0 with a_w = N_w / L: L is
+        the lcm of the C(n, w) den(A_w) at the nonzero A_w, so that
+        N_w = num(A_w) L / (C(n, w) den(A_w)), which is A_w L / C(n, w) for
+        integer counts."""
+        n, counts = self.n, self.counts
+        dens = [comb(n, w) * c.denominator for w, c in enumerate(counts)]
+        L = lcm(*(den for den, c in zip(dens, counts) if c))
+        return tuple(c.numerator * (L // den) for c, den in zip(counts, dens)), L
+
+    @cached_property
+    def a_list(self):
+        """a_0 .. a_n as Fractions."""
+        N, L = self.scaled
+        return tuple(Fraction(v, L) for v in N)
+
+    @cached_property
+    def a_poly(self):
+        """a(t), its coefficients the a_w/(q-1) for w = d .. n."""
+        N, L = self.scaled
+        return UniPoly([Fraction(v, (self.q - 1) * L) for v in N[self.d:]])
 
 
 @dataclass(frozen=True)
@@ -42,16 +69,16 @@ class AveragedDistribution:
 
 
 def normalize_counts(q, n, counts):
-    """The normalized enumerator of counts A_0 .. A_n (ints or Fractions),
-    each a_w built as one Fraction A_w / C(n, w), and each coefficient of
-    a(t) as one Fraction A_w / ((q-1) C(n, w))."""
-    binoms = [comb(n, w) for w in range(n + 1)]
-    a_list = [Fraction(c, b) for c, b in zip(counts, binoms)]
-    d = _min_weight(a_list)
+    """The normalized enumerator of counts A_0 .. A_n (ints or Fractions).
+
+    Only d is found here; raises ValueError when no A_w with w >= 1 is
+    nonzero. The a_w are derived from the counts on first read, as integers
+    over one denominator (`NormalizedEnumerator.scaled`) and as Fractions
+    (`a_list`, `a_poly`)."""
+    d = _min_weight(counts)
     if d > n:
         raise ValueError("no nonzero weight to normalize")
-    a_poly = UniPoly([Fraction(counts[w], (q - 1) * binoms[w]) for w in range(d, n + 1)])
-    return NormalizedEnumerator(q=q, n=n, d=d, a_list=tuple(a_list), a_poly=a_poly)
+    return NormalizedEnumerator(q=q, n=n, d=d, counts=tuple(counts))
 
 
 def normalize(A):

@@ -6,7 +6,8 @@ reproducible across runs and in code files:
     GF(4) = GF(2)[x]/(x^2+x+1)    GF(8) = GF(2)[x]/(x^3+x+1)
     GF(9) = GF(3)[x]/(x^2+1)
 
-An element sum(c_i x^i) is encoded as the integer sum(c_i p^i).
+An element sum(c_i x^i) is encoded as the integer sum(c_i p^i). Their
+products are read off the powers of one primitive element.
 """
 
 from __future__ import annotations
@@ -87,6 +88,22 @@ def _poly_mul_mod(a, b, p, modulus):
     return prod[:m]
 
 
+def _primitive_powers(q, p, modulus):
+    """g^0 .. g^(q-2), encoded, for the least primitive element g of
+    GF(p)[x]/(modulus). x is not always primitive: modulo x^2 + 1 over
+    GF(3), x^4 = 1."""
+    m = len(modulus) - 1
+    for g in range(2, q):
+        powers, digits = [1], _digits(g, p, m)
+        while True:
+            value = _encode(_poly_mul_mod(_digits(powers[-1], p, m), digits, p, modulus), p)
+            if value == 1:
+                break
+            powers.append(value)
+        if len(powers) == q - 1:
+            return powers
+
+
 def _validate(q, add, mul, neg, inv):
     elems = range(q)
     for a in elems:
@@ -131,10 +148,12 @@ def field_new(q):
              for b in range(q)]
             for a in range(q)
         ]
-        mul = [
-            [_encode(_poly_mul_mod(_digits(a, p, m), _digits(b, p, m), p, modulus), p)
-             for b in range(q)]
-            for a in range(q)
+        # a b = g^(log a + log b): q - 1 products instead of q^2
+        exp = _primitive_powers(q, p, modulus)
+        log = {v: i for i, v in enumerate(exp)}
+        mul = [[0] * q] + [
+            [0] + [exp[(log[a] + log[b]) % (q - 1)] for b in range(1, q)]
+            for a in range(1, q)
         ]
     else:
         p, m = q, 1

@@ -50,19 +50,20 @@ def zeta_from_normalized(a, k, d_dual):
     T^j (1-T)^-(j+d) = sum_i C(i+j+d-1, i) T^(i+j), so s_m, the T^m
     coefficient of a(T/(1-T))/(1-T)^d, is sum_j alpha_j C(m+d-1, m-j) with
     alpha_j the t^j coefficient of a(t), and p_m = s_m - q s_(m-1). The s_m
-    are built on the integers D alpha_j, D the common denominator of the
-    alpha_j: Horner's rule in u = T/(1-T), where multiplying by u is a shift
-    and a running sum, then d more running sums for 1/(1-T)^d.
+    are built on the integers D alpha_j = N_(d+j), D = (q-1) L, read off
+    `a.scaled` (a_w = N_w / L), integer and averaged counts alike: Horner's
+    rule in u = T/(1-T), where multiplying by u is a shift and a running
+    sum, then d more running sums for 1/(1-T)^d. One Fraction per p_m.
     """
     n, d, q = a.n, a.d, a.q
-    alpha = a.a_poly.coeffs
-    D = lcm(*(aj.denominator for aj in alpha))
+    N, L = a.scaled
     order = n - d
     s = [0] * (order + 1)
-    for aj in reversed(alpha):
-        s = [aj.numerator * (D // aj.denominator)] + list(accumulate(s[:order]))
+    for aj in reversed(N[d:]):
+        s = [aj] + list(accumulate(s[:order]))
     for _ in range(d):
         s = list(accumulate(s))
+    D = (q - 1) * L
     p = [Fraction(s[0], D)]
     p += [Fraction(cur - q * prev, D) for prev, cur in zip(s, s[1:])]
     return ZetaPolynomial(P=UniPoly(p), q=q, n=n, k=k, d=d, d_dual=d_dual)
@@ -101,17 +102,29 @@ def zeta_from_enumerator_def1(A):
 
 
 def check_functional_eq(Pc, Pd):
-    """True iff Pd(T) = Pc(1/qT) q^g T^(g+g_dual) as an exact polynomial."""
+    """True iff Pd(T) = Pc(1/qT) q^g T^(g+g_dual) as an exact polynomial.
+
+    With top = g + g_dual, that is: neither side has a term above T^top,
+    and the T^(top-j) coefficient of Pd is p_j q^(g-j) for j = 0 .. top.
+    Each pair is compared on integers, cross-multiplied, with the power of
+    q on the side where its exponent is nonnegative."""
     g, gd, q = Pc.g, Pc.g_dual, Pc.q
     top = g + gd
-    coeffs = [Fraction(0)] * (top + 1)
-    for j, pj in enumerate(Pc.P.coeffs):
-        if pj:
-            e = top - j
-            if e < 0:
-                return False  # transform is not a polynomial
-            coeffs[e] += pj * Fraction(q) ** (g - j)
-    return UniPoly(coeffs) == Pd.P
+    pc, pd = Pc.P.coeffs, Pd.P.coeffs
+    if max(len(pc), len(pd)) > top + 1:
+        return False  # a term above T^top on either side
+    pad = (0,) * (top + 1)
+    pd = (pd + pad)[: top + 1]
+    for j, pj in enumerate((pc + pad)[: top + 1]):
+        dj, e = pd[top - j], g - j
+        lhs, rhs = pj.numerator * dj.denominator, dj.numerator * pj.denominator
+        if e >= 0:
+            lhs *= q**e
+        else:
+            rhs *= q**-e
+        if lhs != rhs:
+            return False
+    return True
 
 
 def a_coefficient_bound(P, a_list):

@@ -6,9 +6,13 @@ polynomials (by a grid count of their sign changes), the Newton
 interpolation, the two-variable zeta and self-relation and the Clifford
 decomposition of `codezeta` are tested against, among them routes that
 `codezeta` used before: the column walk of the point ranks, the prefix
-loop of the message bitsets in characteristic 2, the full Krawtchouk table,
-Z(T,u) by substitution and synthetic division by (u - 1), the flipped and
-cross-multiplied Z(T,u) and the null-space subcodes."""
+loop of the message bitsets in characteristic 2, the full Krawtchouk table
+and the Krawtchouk recurrence of the MacWilliams transform, the field
+products as polynomial products, the one-variable layer on `Fraction`s
+(the normalized enumerator, the functional equation with Fraction powers
+of q, the g/h values and their evaluations), Z(T,u) by substitution and
+synthetic division by (u - 1), the flipped and cross-multiplied Z(T,u) and
+the null-space subcodes."""
 
 import itertools
 import math
@@ -105,6 +109,75 @@ def zeta_from_normalized(a):
     for m in range(order + 1):
         p.append(target[m] - sum((p[j] * s[m - j] for j in range(m)), Fraction(0)))
     return UniPoly(p)
+
+
+def normalized_fractions(q, n, counts):
+    """(a_list, a_poly) of counts A_0 .. A_n built directly as Fractions:
+    a_w = A_w / C(n, w), and a(t) from a_w / (q - 1) for w = d .. n."""
+    a_list = [Fraction(c) / math.comb(n, w) for w, c in enumerate(counts)]
+    d = next(w for w in range(1, n + 1) if a_list[w])
+    return tuple(a_list), UniPoly([aw / (q - 1) for aw in a_list[d:]])
+
+
+def check_functional_eq(Pc, Pd):
+    """Pd(T) == Pc(1/qT) q^g T^(g+g_dual), with every term p_j q^(g-j)
+    built as a Fraction."""
+    g, gd, q = Pc.g, Pc.g_dual, Pc.q
+    top = g + gd
+    coeffs = [Fraction(0)] * (top + 1)
+    for j, pj in enumerate(Pc.P.coeffs):
+        if pj:
+            if top - j < 0:
+                return False
+            coeffs[top - j] += pj * Fraction(q) ** (g - j)
+    return UniPoly(coeffs) == Pd.P
+
+
+def difference_values(a_list, q, d, c):
+    """(a_w - (q-1)^c a_{w-c})(-1)^(w-d) for w = c .. n, as Fractions."""
+    return [
+        (a_list[w] - (q - 1) ** c * a_list[w - c]) * (-1) ** ((w - d) % 2)
+        for w in range(c, len(a_list))
+    ]
+
+
+def fit(values, first, use):
+    """(poly, miss): the Lagrange interpolant through (first + i, values[i])
+    for i <= use, and the first later w whose value it misses, or None."""
+    poly = interpolate([(first + i, values[i]) for i in range(use + 1)])
+    miss = next(
+        (first + i for i in range(use + 1, len(values)) if poly(first + i) != values[i]),
+        None,
+    )
+    return poly, miss
+
+
+def h_poly(a_list, q, d, c, d_dual):
+    """`codezeta.bounds.h_poly` on Fractions: (h, None), or (None, the w of
+    the first missed value), or (h, "degree") past the degree bound."""
+    n = len(a_list) - 1
+    bound = n - d_dual
+    if q == 2 and a_list[n] and not any(a_list[1::2]):
+        bound -= 1
+    h, miss = fit(difference_values(a_list, q, d, c), c, min(bound, n - c))
+    if miss is not None:
+        return None, miss
+    return h, "degree" if h.degree > bound else None
+
+
+def g_poly(a_list, q, d, d_dual):
+    """`codezeta.bounds.g_poly` on Fractions, reported as `h_poly` does,
+    with "degree" when deg g is not exactly n - d_dual."""
+    n = len(a_list) - 1
+    g, miss = fit(difference_values(a_list, q, d, 1), 1, n - d_dual)
+    if miss is not None:
+        return None, miss
+    return g, "degree" if g.degree != n - d_dual else None
+
+
+def integer_zeros(poly, w_min, w_max):
+    """The w in [w_min, w_max] with poly(w) == 0, each value a Fraction."""
+    return [w for w in range(w_min, w_max + 1) if poly(Fraction(w)) == 0]
 
 
 def zeta_from_enumerator_def1(A):
@@ -310,6 +383,37 @@ def classify(C):
     return "formally-self-dual" if wd.counts == wd.dual_counts else "other"
 
 
+def field_tables(q):
+    """(add, mul, neg, inv) of GF(q) as tuples, every product a polynomial
+    product reduced by the modulus of `codezeta.gf`, for all q^2 pairs."""
+    p, modulus = {4: (2, (1, 1, 1)), 8: (2, (1, 1, 0, 1)), 9: (3, (1, 0, 1))}.get(
+        q, (q, (0, 1)))
+    m = len(modulus) - 1
+
+    def digits(a):
+        return [a // p**i % p for i in range(m)]
+
+    def encode(ds):
+        return sum(c * p**i for i, c in enumerate(ds))
+
+    def product(a, b):
+        prod = [0] * (2 * m - 1)
+        for i, x in enumerate(digits(a)):
+            for j, y in enumerate(digits(b)):
+                prod[i + j] += x * y
+        for i in range(len(prod) - 1, m - 1, -1):  # x^m = -(lower terms)
+            for j, cm in enumerate(modulus[:m]):
+                prod[i - m + j] -= prod[i] * cm
+        return encode([c % p for c in prod[:m]])
+
+    add = tuple(tuple(encode([(x + y) % p for x, y in zip(digits(a), digits(b))])
+                      for b in range(q)) for a in range(q))
+    mul = tuple(tuple(product(a, b) for b in range(q)) for a in range(q))
+    neg = tuple(row.index(0) for row in add)
+    inv = (0,) + tuple(mul[a].index(1) for a in range(1, q))
+    return add, mul, neg, inv
+
+
 def krawtchouk(q, n, j, i):
     """K_j(i) by its defining sum over s of
     (-1)^s (q-1)^(j-s) C(i, s) C(n-i, j-s)."""
@@ -334,6 +438,38 @@ def krawtchouk_table(q, n):
         ]
         rows.append(cur)
     return rows
+
+
+def krawtchouk_sums(q, n, counts):
+    """sum_i A_i K_j(i) for j = 0 .. n by the three-term recurrence of
+    `krawtchouk_table`, run on the products A_i K_j(i) at the weights i
+    with A_i nonzero: O(n) integer steps per such weight."""
+    support = [i for i, a in enumerate(counts) if a]
+    slopes = [q * i for i in support]
+    prev, cur = [0] * len(support), [counts[i] for i in support]
+    sums = [sum(cur)]
+    for j in range(n):
+        a, b = (q - 1) * (n - j) + j, (q - 1) * (n - j + 1)
+        prev, cur = cur, [
+            ((a - s) * c - b * p) // (j + 1) for s, c, p in zip(slopes, cur, prev)
+        ]
+        sums.append(sum(cur))
+    return sums
+
+
+def macwilliams_counts(q, n, k, counts):
+    """The dual counts sum_i A_i K_j(i) / q^k off the Krawtchouk recurrence,
+    raising ValueError as `codezeta.code.macwilliams_counts` does: at the
+    first bad j, a non-integral count before a negative one."""
+    out = []
+    for total in krawtchouk_sums(q, n, counts):
+        acc, rem = divmod(total, q**k)
+        if rem:
+            raise ValueError("MacWilliams transform produced a non-integral count")
+        if acc < 0:
+            raise ValueError("MacWilliams transform produced a negative count")
+        out.append(acc)
+    return out
 
 
 def macwilliams(q, n, k, counts):

@@ -1,8 +1,10 @@
 """Hypothesis strategies shared by the test modules."""
 
+from hypothesis import assume
 from hypothesis import strategies as st
 
 from codezeta.code import LinearCode
+from codezeta.enumerator import puncture_avg, shorten_avg
 from codezeta.gf import SUPPORTED_Q, field_new
 
 
@@ -44,6 +46,18 @@ def codes(draw, fields=SUPPORTED_Q, max_n=8, max_words=1 << 12, halves=False,
         if i != j:
             rows[i] = [field.add(a, field.mul(c, b)) for a, b in zip(rows[i], rows[j])]
     return LinearCode(field=field, n=n, k=k, generator=tuple(map(tuple, rows)))
+
+
+@st.composite
+def distributions(draw, max_n=8):
+    """Counts the one-variable layer can normalize: the weight distribution
+    of a code from `codes` (integer counts), or its coordinate-averaged
+    puncturing or shortening (Fraction counts), with a nonzero weight."""
+    wd = draw(codes(max_n=max_n)).weights
+    op = draw(st.sampled_from([None, puncture_avg, shorten_avg]))
+    A = wd if op is None or wd.n < 2 else op(wd)
+    assume(A.d <= A.n)
+    return A
 
 
 def make_code(q, rows):

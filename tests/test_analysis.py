@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 
 import codezeta
+import reference
 from codezeta import code as code_mod
 from codezeta import enumerator as enum_mod
 from codezeta import matroid as matroid_mod
@@ -169,6 +170,19 @@ def test_code_keeps_its_dual_and_table(monkeypatch, hamming74):
     matroid_mod.normalized_rank_gen(C)
     matroid_mod.clifford_check(C)
     assert counts == {"subset_rank_table": 1, "dual_code": 1}
+
+
+def test_zeta_polynomials_never_read_a_poly(monkeypatch, hamming74):
+    # def-2 P(T) of the code and of its dual reads the integer numerators;
+    # a data descriptor that raises shadows any a_poly already cached
+    def forbidden(self):
+        raise AssertionError("a_poly read")
+
+    wd = dataclasses.replace(hamming74).weights
+    expected = [reference.zeta_from_normalized(w.normalized) for w in (wd, wd.dual())]
+    monkeypatch.setattr(enum_mod.NormalizedEnumerator, "a_poly", property(forbidden))
+    an = CodeAnalysis(dataclasses.replace(hamming74))
+    assert [an.P.P, an.P_dual.P] == expected
 
 
 @pytest.mark.parametrize("path", FIXTURES, ids=lambda p: p.stem)

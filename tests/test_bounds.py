@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference
 from codezeta import bounds as bounds_mod
@@ -17,6 +19,8 @@ from codezeta.bounds import (
 )
 from codezeta.code import weight_distribution
 from codezeta.enumerator import normalize
+from codezeta.exactmath import UniPoly
+from strategies import distributions
 
 
 def test_divisibility(hamming74, ext_hamming84, hexacode63):
@@ -170,3 +174,53 @@ def test_interpolation_lemmas_match_the_lagrange_reference(corpus, monkeypatch):
     assert any(not isinstance(v, str) for v in got)
     monkeypatch.setattr(bounds_mod, "interpolate", reference.interpolate)
     assert got == _interpolated(corpus)
+
+
+def _reference_outcome(result, name):
+    """The value or the LemmaCheckError message that `codezeta.bounds`
+    gives for a (poly, None | miss | "degree") result of the reference."""
+    poly, flaw = result
+    if flaw is None:
+        return poly
+    if flaw == "degree":
+        return f"deg {name} = {poly.degree}"
+    return f"w={flaw}"
+
+
+@settings(max_examples=150, deadline=None)
+@given(distributions(), st.data())
+def test_integer_interpolation_lemmas_and_audit_match_the_fraction_routes(A, data):
+    """g, h and their zero audit off the integer numerators against the
+    Fraction values and evaluations, on integer and averaged counts, at the
+    true d_dual (codes) or an arbitrary one, and at the divisor or any c."""
+    a = normalize(A)
+    a_list = reference.normalized_fractions(A.q, A.n, A.counts)[0]
+    n, d = A.n, A.d
+    d_dual = getattr(A, "d_dual", None) or data.draw(st.integers(1, n + 1))
+    c = data.draw(st.sampled_from([1, divisibility(A), data.draw(st.integers(1, n))]))
+    polys = []
+    for got, want, name in [
+        (lambda: g_poly(a, d_dual).g, reference.g_poly(a_list, A.q, d, d_dual), "g"),
+        (lambda: h_poly(a, c, d_dual), reference.h_poly(a_list, A.q, d, c, d_dual), "h"),
+    ]:
+        want = _reference_outcome(want, name)
+        got = _outcome(got)
+        if isinstance(want, str):
+            assert isinstance(got, str) and want in got
+        else:
+            assert got == want
+            polys.append(got)
+    # a polynomial with integer zeros, scaled by a Fraction
+    roots = data.draw(st.lists(st.integers(-2, n + 2), max_size=4))
+    poly = UniPoly([Fraction(data.draw(st.integers(1, 9)), data.draw(st.integers(1, 9)))])
+    for r in roots:
+        poly = poly * UniPoly([-r, 1])
+    for p in [*polys, poly]:
+        w_min = data.draw(st.integers(-3, n))
+        w_max = data.draw(st.integers(w_min - 1, n + 3))
+        bound = proof_zero_bound(n, d, c)
+        zeros = reference.integer_zeros(p, w_min, w_max)
+        assert zero_count_audit(p, bound, w_min, w_max) == {
+            "zeros": zeros, "count": len(zeros), "bound": bound,
+            "meets": len(zeros) >= bound,
+        }

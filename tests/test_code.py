@@ -45,6 +45,11 @@ def test_parse_comments_and_blank_lines(hexacode63):
         ("2 2\n1 1", "header"),
         ("2 x 1\n1 1", "non-integer"),
         ("2 2 1\n1 2", "out of range"),
+        # the first symbol out of range is named, whichever side it is on
+        ("3 4 1\n1 -1 7 2", r"^symbol -1 out of range for GF\(3\)$"),
+        ("3 4 1\n1 7 -1 2", r"^symbol 7 out of range for GF\(3\)$"),
+        ("2 2 1\n1 1.0", r"^non-integer symbol in row '1 1.0'$"),
+        ("2 3 1\n1 1", r"^row '1 1' has 2 symbols, expected 3$"),
         ("2 2 1\n1", "symbols"),
         ("2 2 2\n1 1", "rows"),
         ("2 3 2\n1 1 0\n1 1 0", "rank"),

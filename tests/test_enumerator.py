@@ -1,7 +1,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
+import reference
 from codezeta.code import macwilliams_counts, weight_distribution
 from codezeta.enumerator import (
     invariant_thm23,
@@ -11,6 +13,7 @@ from codezeta.enumerator import (
     shorten_avg,
 )
 from codezeta.exactmath import UniPoly
+from strategies import distributions
 
 
 def test_macwilliams_hamming(hamming74):
@@ -103,3 +106,15 @@ def test_invariant_preserved_under_puncture_and_shorten(corpus):
             assert _common_truncation_equal(
                 inv, a.n, a.d, invariant_thm23(b), b.n, b.d
             ), (entry.code.q, entry.code.n, entry.code.k, op.__name__)
+
+
+@settings(max_examples=150, deadline=None)
+@given(distributions())
+def test_normalized_enumerator_matches_the_fraction_route(A):
+    # integer counts and the Fraction counts of puncture_avg/shorten_avg
+    a = normalize(A)
+    N, L = a.scaled
+    assert all(type(v) is int for v in N) and type(L) is int and L > 0
+    a_list, a_poly = reference.normalized_fractions(A.q, A.n, A.counts)
+    assert [Fraction(v, L) for v in N] == list(a_list)
+    assert a.a_list == a_list and a.a_poly == a_poly

@@ -1,20 +1,18 @@
 """The shared formulas of `codezeta` against plain references: the
-Krawtchouk recurrence behind MacWilliams, the MacWilliams transform, and the
-Greene substitution."""
+Krawtchouk recurrence, the MacWilliams transform by Kronecker substitution
+against the recurrence and the direct sum, and the Greene substitution."""
 
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference
-from codezeta.code import (
-    LinearCode,
-    _krawtchouk_sums,
-    macwilliams_counts,
-    rref_rank,
-)
+from codezeta.code import LinearCode, macwilliams_counts, rref_rank
 from codezeta.gf import SUPPORTED_Q, field_new
 from codezeta.matroid import greene_weight_enumerator, rank_gen_poly
+from strategies import codes
 
 
 @pytest.mark.parametrize("q", SUPPORTED_Q)
@@ -27,7 +25,7 @@ def test_krawtchouk_table_matches_the_direct_sum(q):
         ]
         assert reference.krawtchouk_table(q, n) == table
         columns = [
-            _krawtchouk_sums(q, n, [int(w == i) for w in range(n + 1)])
+            reference.krawtchouk_sums(q, n, [int(w == i) for w in range(n + 1)])
             for i in range(n + 1)
         ]
         assert [list(row) for row in zip(*columns)] == table
@@ -84,6 +82,48 @@ def test_macwilliams_counts_matches_the_reference(q):
             ]
             outcomes.add("valid")
     assert "valid" in outcomes and len(outcomes) >= 2
+
+
+def _transform(fn, q, n, k, counts):
+    try:
+        return fn(q, n, k, counts)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("q", SUPPORTED_Q)
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_kronecker_macwilliams_matches_the_recurrence(q, data):
+    """Signed count vectors, small and wide, some scaled by q^k: the
+    Kronecker transform gives the recurrence's counts or its ValueError."""
+    n = data.draw(st.integers(0, 40))
+    k = data.draw(st.integers(0, n))
+    entry = st.one_of(st.integers(-3, 3), st.integers(-(1 << 80), 1 << 80))
+    counts = data.draw(st.lists(entry, min_size=n + 1, max_size=n + 1))
+    if data.draw(st.booleans()):
+        counts = [c * q**k for c in counts]
+    assert (_transform(macwilliams_counts, q, n, k, counts)
+            == _transform(reference.macwilliams_counts, q, n, k, counts))
+
+
+@pytest.mark.parametrize("q", SUPPORTED_Q)
+def test_kronecker_macwilliams_raises_both_errors(q):
+    # A_0 = 1 over q^1 is no integer; A_1 = 1 over q^0 gives K_1(1) = -1
+    for counts, k, message in [([1, 0], 1, "non-integral"), ([0, 1], 0, "negative")]:
+        assert message in _transform(macwilliams_counts, q, 1, k, counts)
+        assert message in _transform(reference.macwilliams_counts, q, 1, k, counts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(codes(max_n=10, max_words=9**4))
+def test_kronecker_macwilliams_gives_the_enumerated_dual_counts(C):
+    counts = reference.enumerate_counts(C)
+    dual = macwilliams_counts(C.q, C.n, C.k, counts)
+    assert dual == reference.macwilliams_counts(C.q, C.n, C.k, counts)
+    if C.q ** (C.n - C.k) <= 9**4:
+        assert dual == reference.enumerate_counts(C.dual)
+    assert macwilliams_counts(C.q, C.n, C.n - C.k, dual) == counts
 
 
 def _assert_greene_matches_reference(W, q):

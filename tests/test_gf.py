@@ -1,5 +1,6 @@
 import pytest
 
+import reference
 from codezeta.gf import SUPPORTED_Q, FieldError, field_new
 
 
@@ -64,3 +65,11 @@ def test_multiplicative_group_cyclic(q):
     orders = [element_order(f, a) for a in range(1, q)]
     assert max(orders) == q - 1  # a generator exists
     assert all((q - 1) % o == 0 for o in orders)
+
+
+@pytest.mark.parametrize("q", SUPPORTED_Q)
+def test_tables_equal_the_polynomial_construction(q):
+    # the products are read off the powers of a primitive element; for
+    # q = 9 that is not x, whose fourth power is 1 modulo x^2 + 1
+    f = field_new(q)
+    assert (f.add_table, f.mul_table, f.neg_table, f.inv_table) == reference.field_tables(q)

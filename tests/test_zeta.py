@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import reference
 from codezeta.analysis import CodeAnalysis
@@ -33,7 +34,7 @@ from codezeta.zeta import (
     zeta_from_normalized,
 )
 from codezeta import matroid
-from strategies import codes, make_code
+from strategies import codes, distributions, make_code
 
 ZEROCOL = parse_code(
     (Path(__file__).parent / "fixtures" / "zerocol5_73.code").read_text()
@@ -261,3 +262,30 @@ def test_two_var_compat_corpus(corpus):
             matroid.wn_plus(entry.Wn), entry.code.k, entry.code.n, entry.P.g
         )
         assert check_two_var_compat(Z, entry.P)
+
+
+@settings(max_examples=150, deadline=None)
+@given(distributions(), st.data())
+def test_integer_zeta_and_functional_equation_match_the_fraction_routes(A, data):
+    """Def-2 P(T) off the integer numerators against the triangular solve
+    on the Fraction a(t), and the functional equation on integers against
+    the Fraction powers of q, for a code and its dual and for averaged
+    counts paired with arbitrary k and d_dual."""
+    if isinstance(A, WeightDistribution):
+        pairs = [(A, A.k, A.d_dual), (A.dual(), A.n - A.k, A.d)]
+    else:
+        pairs = [
+            (A, data.draw(st.integers(0, A.n)), data.draw(st.integers(1, A.n + 1)))
+            for _ in range(2)
+        ]
+    Ps = []
+    for B, k, d_dual in pairs:
+        if B.d > B.n:  # the [n, n] dual has no nonzero word
+            continue
+        a = normalize(B)
+        P = zeta_from_normalized(a, k=k, d_dual=d_dual)
+        assert P.P == reference.zeta_from_normalized(a)
+        Ps.append(P)
+    for Pc in Ps:
+        for Pd in Ps:
+            assert check_functional_eq(Pc, Pd) == reference.check_functional_eq(Pc, Pd)
