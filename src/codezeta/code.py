@@ -407,7 +407,7 @@ def macwilliams_counts(q, n, k, counts):
     substitution), built by Horner's rule over the counts: multiplying by
     1 + (q-1)2^B or 1 - 2^B is a shift and an add. The absolute coefficients
     of each term's product sum to q^(n-i) 2^i <= q^n, so every coefficient
-    of f is below S = q^n sum_i |A_i| < 2^(B-2) in size. Adding 2^(B-1) to
+    of f is at most S = q^n sum_i |A_i| < 2^(B-2) in size. Adding 2^(B-1) to
     each B-bit slot makes every slot nonnegative, so they decode by shifts
     and masks, signs included."""
     B = (q**n * sum(map(abs, counts))).bit_length() + 2
