@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import json
 import os
@@ -21,6 +22,7 @@ from codezeta.gf import SUPPORTED_Q
 from strategies import codes, make_code
 
 FIXTURES = Path(__file__).parent / "fixtures"
+GOLDEN = Path(__file__).parent / "golden"
 HAMMING = str(FIXTURES / "hamming74.code")
 CODE10 = str(FIXTURES / "code10.code")
 EXT_HAMMING = str(FIXTURES / "ext_hamming84.code")
@@ -342,7 +344,8 @@ def _invoke(argv):
 @example(make_code(4, [[1]]))  # n = 1, k = n
 def test_every_file_command_exits_0_or_1_with_json(tmp_path, C):
     # any code of any k <= n over the seven fields: each file command
-    # exits 0 or 1 with a JSON report, and `report` gathers the others'
+    # exits 0 or 1 with a JSON report, exit 1 exactly when a check reads
+    # false, and `report` gathers the others'
     path = tmp_path / "drawn.code"
     path.write_text(_code_text(C))
     reports = {}
@@ -350,7 +353,108 @@ def test_every_file_command_exits_0_or_1_with_json(tmp_path, C):
         code, out, err = _invoke(["--json", name, str(path)])
         assert code in (0, 1), (name, err)
         reports[name] = json.loads(out)
+        assert code == _fails(reports[name]), name
     assert reports.pop("report") == reports
+
+
+# The report keys that are checks: the exit code is 1 exactly when one of
+# them reads false, and one that reads null is not applicable. The test's own
+# copy of `cli.CHECKS`.
+CHECK_KEYS = {
+    "routes_agree", "functional_equation", "deg_matches", "P1_is_one",
+    "relation_holds", "bound_holds", "greene", "greene_normalized",
+    "compatible_with_one_variable", "singleton_holds", "divisibility_holds",
+    "meets", "strong_holds", "holds", "ok", "unique", "nonnegative",
+    "on_critical_circle",
+}
+# Boolean keys that report a fact about the code or the enumerator, not a check.
+FACT_KEYS = {
+    "nondegenerate", "binary_even_allone", "formally_self_dual", "extremal",
+    "functional_equation_exploratory",
+}
+
+
+def _entries(value):
+    """(key, value, the dict holding it) of every dict entry of a JSON
+    value, at any depth, inside lists too."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield key, item, value
+            yield from _entries(item)
+    elif isinstance(value, list):
+        for item in value:
+            yield from _entries(item)
+
+
+def _fails(report):
+    """1 when a check of the report reads false, else 0."""
+    return int(any(key in CHECK_KEYS and item is False
+                   for key, item, _ in _entries(report)))
+
+
+# `extremal` exits 1 at these n <= 54, by type and --ultraspherical, and 0 at
+# every other valid n. Type I's exits come from negative extremal coefficients.
+# Type IV's identity holds only at n = 3m + 3 (m = d - 3), so at n = 2, 4 mod 6
+# its ultraspherical runs read `holds: false`.
+EXTREMAL_EXIT_1 = {
+    ("I", False): [32, 40, 42, 48, 50, 52],
+    ("I", True): [32, 40, 42, 48, 50, 52],
+    ("IV", True): [8, 10, 14, 16, 20, 22, 26, 28, 32, 34, 38, 40, 44, 46, 50, 52],
+}
+
+
+@functools.cache
+def _extremal_runs():
+    """{(type, ultraspherical, n): (exit code, report)} of `extremal --json`
+    at every valid n <= 54 of the four Mallows-Sloane types. From n = 56 the
+    float radii drift past their 1e-9 tolerance, so a pin there would pin
+    that drift."""
+    runs = {}
+    for name, (q, c, mod, _) in MALLOWS_SLOANE.items():
+        for ultra in (False, True):
+            for n in range(mod, 55, mod):
+                argv = ["--json", "extremal", "--q", str(q), "--c", str(c), "--n", str(n)]
+                code, out, _ = _invoke(argv + ["--ultraspherical"] * ultra)
+                runs[name, ultra, n] = code, json.loads(out)
+    return runs
+
+
+def _golden_reports():
+    """{case: (exit code, report)} of every golden that has a report."""
+    exits = json.loads((GOLDEN / "exit_codes.json").read_text())
+    return {case: (code, json.loads((GOLDEN / f"{case}.json").read_text()))
+            for case, code in exits.items() if code != 2}
+
+
+def _all_reports():
+    return [*_golden_reports().values(), *_extremal_runs().values()]
+
+
+def test_extremal_exit_codes_up_to_n_54():
+    runs = _extremal_runs()
+    assert len(runs) == 146
+    for (name, ultra, n), (code, report) in runs.items():
+        assert code == (n in EXTREMAL_EXIT_1.get((name, ultra), [])), (name, ultra, n)
+        assert code == _fails(report), (name, ultra, n)
+
+
+def test_golden_exit_codes_follow_the_checks_and_nulls_say_why():
+    for code, report in _all_reports():
+        assert code == _fails(report), report
+        for key, item, holder in _entries(report):
+            if key in CHECK_KEYS and item is None:
+                assert any(k.endswith("not_applicable") for k in holder), key
+
+
+def test_every_check_name_is_written_by_a_report():
+    written = {key for _, report in _all_reports() for key, _, _ in _entries(report)}
+    assert set(cli_mod.CHECKS) <= written
+
+
+def test_every_boolean_key_is_a_check_or_a_fact():
+    booleans = {key for _, report in _all_reports()
+                for key, item, _ in _entries(report) if isinstance(item, bool)}
+    assert booleans <= set(cli_mod.CHECKS) | FACT_KEYS, booleans - FACT_KEYS
 
 
 @st.composite
