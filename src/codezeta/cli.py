@@ -1,7 +1,10 @@
 """Command-line front-end: parse code files, run the checks, emit reports.
 
-Exit codes: 0 all checks pass, 1 a mathematical check failed (witness in the
-output), 2 usage/parse/capacity error.
+Exit codes: 0 all checks pass, 1 a mathematical check failed, 2
+usage/parse/capacity error. The exit code is read off the report: 1 exactly
+when a key of `CHECKS` reads false at any depth of its dicts (the witness is
+in the output), or a cross-check raised. A check that reads null is not
+applicable, and a `*not_applicable` key beside it says why.
 """
 
 from __future__ import annotations
@@ -19,6 +22,26 @@ from .analysis import CodeAnalysis
 from .code import CapacityError, ParseError, parse_code
 from .exactmath import format_poly
 from .gf import FieldError
+
+# The report keys that are checks. Every other boolean reports a fact:
+# nondegenerate, binary_even_allone, formally_self_dual, extremal and
+# functional_equation_exploratory.
+CHECKS = (
+    "routes_agree", "functional_equation", "deg_matches", "P1_is_one",
+    "relation_holds", "bound_holds", "greene", "greene_normalized",
+    "compatible_with_one_variable", "singleton_holds", "divisibility_holds",
+    "meets", "strong_holds", "holds", "ok", "unique", "nonnegative",
+    "on_critical_circle",
+)
+
+
+def _verdict(report):
+    """False when a check reads false in the report or a dict below it.
+    Lists hold findings and are not read: `clifford_check` folds each
+    decomposition's `ok` into its own."""
+    if any(report.get(key) is False for key in CHECKS):
+        return False
+    return all(_verdict(v) for v in report.values() if isinstance(v, dict))
 
 
 def _frac(v):
@@ -52,21 +75,20 @@ def cmd_weights(an, args):
         "counts": [str(c) for c in wd.counts],
         "dual_counts": [str(c) for c in an.wd_dual.counts],
     }
-    return report, True
+    return report
 
 
 def cmd_zeta(an, args):
     """The functional equation is a theorem for d, d_dual >= 2 only; below
-    that it is reported as not applicable and left out of the verdict."""
+    that it is reported as not applicable."""
     C, wd, P, P1 = an.code, an.wd, an.P, an.P_def1
-    routes_agree = P.P == P1.P
     nondegenerate = wd.d >= 2 and wd.d_dual >= 2
     functional = zeta_mod.check_functional_eq(P, an.P_dual) if nondegenerate else None
     abound = zeta_mod.a_coefficient_bound(P, an.norm.a_list)
     report = {
         "P": _uni(P.P),
         "P_def1": _uni(P1.P),
-        "routes_agree": routes_agree,
+        "routes_agree": P.P == P1.P,
         "g": P.g,
         "g_dual": P.g_dual,
         "deg_P": P.P.degree,
@@ -77,44 +99,38 @@ def cmd_zeta(an, args):
             abound, a=_frac(abound["a"]), bound=_frac(abound["bound"])
         ),
     }
-    ok = (routes_agree and functional is not False
-          and abound["relation_holds"] is not False
-          and abound["bound_holds"] is not False)
     if nondegenerate:
-        deg_ok = P.P.degree == C.n + 2 - wd.d - wd.d_dual
-        p1_ok = P.P(1) == 1
-        report["deg_matches"] = deg_ok
-        report["P1_is_one"] = p1_ok
-        ok = ok and deg_ok and p1_ok
+        report["deg_matches"] = P.P.degree == C.n + 2 - wd.d - wd.d_dual
+        report["P1_is_one"] = P.P(1) == 1
     else:
         report["functional_equation_not_applicable"] = "needs d, d_dual >= 2"
-    return report, ok
+    return report
 
 
 def cmd_rankgen(an, args):
     W, Wn = an.W, an.Wn
     at_11 = sum(W.W.terms.values())
-    report = {
+    if at_11 != 2**an.code.n:  # W(1, 1) counts each column subset once
+        raise zeta_mod.StructuralError(f"W(1, 1) = {at_11}, not 2^{an.code.n}")
+    return {
         "W": _bi(W.W),
         "Wn": _bi(Wn.Wn),
         "Wn_plus": _ratfun(an.Wn_plus),
         "W_at_11": str(at_11),
     }
-    return report, at_11 == 2**an.code.n
 
 
 def cmd_greene(an, args):
-    wd = an.wd
-    plain = matroid_mod.check_greene(wd, an.W)
-    normalized = matroid_mod.check_greene_normalized(wd, an.Wn)
-    report = {"greene": plain, "greene_normalized": normalized}
-    return report, plain and normalized
+    return {
+        "greene": matroid_mod.check_greene(an.wd, an.W),
+        "greene_normalized": matroid_mod.check_greene_normalized(an.wd, an.Wn),
+    }
 
 
 def cmd_twovar(an, args):
     """Z(T, q) is compared with P(T)/((1-T)(1-qT)) only where P(T) is the
     zeta polynomial, d_dual >= 2; below that the comparison is reported as
-    not applicable and left out of the verdict."""
+    not applicable."""
     C, g = an.code, an.P.g
     Z = zeta_mod.two_var_zeta(an.Wn_plus, C.k, C.n, g)
     compat = zeta_mod.check_two_var_compat(Z, an.P) if an.wd.d_dual >= 2 else None
@@ -126,7 +142,7 @@ def cmd_twovar(an, args):
     }
     if compat is None:
         report["compatible_with_one_variable_not_applicable"] = "needs d_dual >= 2"
-    return report, compat is not False
+    return report
 
 
 def cmd_bounds(an, args):
@@ -143,23 +159,15 @@ def cmd_bounds(an, args):
         "bound": _frac(audit["bound"]),
         "meets": audit["meets"],
     }
-    ok = report["singleton_holds"] and report["divisibility_holds"] and audit["meets"]
-    if report.get("strong_holds") is False:
-        ok = False
-    ms = report.get("mallows_sloane")
-    if ms is not None:
-        ok = ok and ms["holds"]
-    return report, ok
+    return report
 
 
 def cmd_clifford(an, args):
     if args.sample is not None:
-        report = matroid_mod.clifford_check(
+        return matroid_mod.clifford_check(
             an.code, mode="sample", count=args.sample, seed=args.seed
         )
-    else:
-        report = matroid_mod.clifford_check(an.code)
-    return report, report["ok"] is not False
+    return matroid_mod.clifford_check(an.code)
 
 
 def cmd_extremal(args):
@@ -174,49 +182,36 @@ def cmd_extremal(args):
         "nonnegative": enum.nonnegative,
         "counts": [str(v) for v in enum.counts] if enum.counts else None,
     }
-    ok = enum.unique and enum.nonnegative
-    if args.ultraspherical:
-        if not enum.unique:
-            return report, False
-        m = enum.d - 3
-        if m < 0:
-            report["ultraspherical"] = {
-                "m": m, "holds": None, "not_applicable": "needs d >= 3",
-            }
-            return report, ok
-        a = enum_mod.normalize_counts(enum.q, enum.n, enum.counts)
-        P = zeta_mod.zeta_from_normalized(a, k=enum.n // 2, d_dual=enum.d)
-        lam, holds = extremal_mod.check_ultraspherical(P, m)
-        radii = (
-            extremal_mod.critical_circle_radii(P) if P.P.degree >= 1 else []
-        )
-        # the critical circle is |T| = q^(-1/2)
-        radius = enum.q ** -0.5
-        on_circle = all(abs(r - radius) <= 1e-9 for r in radii)
-        if enum.q != 4:  # the identity is Type IV's; lambda is still read
-            holds = None
-        ultra = report["ultraspherical"] = {
-            "m": m,
-            "lambda": _frac(lam),
-            "holds": holds,
-            "radii": radii,
-            "on_critical_circle": on_circle,
+    if not (args.ultraspherical and enum.unique):
+        return report
+    m = enum.d - 3
+    if m < 0:
+        report["ultraspherical"] = {
+            "m": m, "holds": None, "not_applicable": "needs d >= 3",
         }
-        if holds is None:
-            ultra["not_applicable"] = "the identity is Type IV's (q = 4)"
-        ok = ok and holds is not False and on_circle
-    return report, ok
+        return report
+    a = enum_mod.normalize_counts(enum.q, enum.n, enum.counts)
+    P = zeta_mod.zeta_from_normalized(a, k=enum.n // 2, d_dual=enum.d)
+    lam, holds = extremal_mod.check_ultraspherical(P, m)
+    radii = extremal_mod.critical_circle_radii(P) if P.P.degree >= 1 else []
+    radius = enum.q ** -0.5  # the critical circle is |T| = q^(-1/2)
+    ultra = report["ultraspherical"] = {
+        "m": m,
+        "lambda": _frac(lam),
+        "holds": holds,
+        "radii": radii,
+        "on_critical_circle": all(abs(r - radius) <= 1e-9 for r in radii),
+    }
+    if enum.q != 4:  # the identity is Type IV's; lambda is still read
+        ultra["holds"] = None
+        ultra["not_applicable"] = "the identity is Type IV's (q = 4)"
+    return report
 
 
 def cmd_report(an, args):
     """Every other file command on the same analysis, in table order."""
-    full = {}
-    ok = True
-    for name, fn in FILE_COMMANDS.items():
-        if name != "report":
-            full[name], sub_ok = fn(an, args)
-            ok = ok and sub_ok
-    return full, ok
+    return {name: fn(an, args) for name, fn in FILE_COMMANDS.items()
+            if name != "report"}
 
 
 def _render_human(report, indent=0):
@@ -308,11 +303,11 @@ def run(argv=None):
         return 2 if exc.code else 0
     try:
         if args.command == "extremal":
-            report, ok = cmd_extremal(args)
+            report = cmd_extremal(args)
         else:
             with open(args.file) as fh:
                 C = parse_code(fh.read())
-            report, ok = FILE_COMMANDS[args.command](CodeAnalysis(C), args)
+            report = FILE_COMMANDS[args.command](CodeAnalysis(C), args)
     except (ParseError, CapacityError, FieldError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -324,7 +319,7 @@ def run(argv=None):
         print(json.dumps(report, sort_keys=True, indent=2))
     else:
         print("\n".join(_render_human(report)))
-    return 0 if ok else 1
+    return 0 if _verdict(report) else 1
 
 
 def main():

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import functools
 import io
 import json
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 import codezeta
 from codezeta import cli as cli_mod
+from codezeta import code as code_mod
 from codezeta import extremal as extremal_mod
 from codezeta.bounds import MALLOWS_SLOANE
 from codezeta.cli import FILE_COMMANDS, run
@@ -455,6 +457,24 @@ def test_every_boolean_key_is_a_check_or_a_fact():
     booleans = {key for _, report in _all_reports()
                 for key, item, _ in _entries(report) if isinstance(item, bool)}
     assert booleans <= set(cli_mod.CHECKS) | FACT_KEYS, booleans - FACT_KEYS
+
+
+def test_rankgen_on_a_table_missing_a_subset_exits_1(monkeypatch):
+    # W(1, 1) counts every column subset once, so a table short of the empty
+    # set breaks the structure of W: check failed, and no report
+    original = code_mod.subset_rank_table
+
+    def short_table(C):
+        table = original(C)
+        counts = dict(table.counts)
+        counts[0, 0] -= 1
+        return dataclasses.replace(table, counts=counts)
+
+    monkeypatch.setattr(code_mod, "subset_rank_table", short_table)
+    code, out, err = _invoke(["--json", "rankgen", HAMMING])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("check failed:")
 
 
 @st.composite
