@@ -205,6 +205,9 @@ def cmd_extremal(args):
     if enum.q != 4:  # the identity is Type IV's; lambda is still read
         ultra["holds"] = None
         ultra["not_applicable"] = "the identity is Type IV's (q = 4)"
+    elif enum.n != 3 * m + 3:  # its sides have degrees 2(2g + 1) and 2m
+        ultra["holds"] = None
+        ultra["not_applicable"] = "needs n = 3m + 3"
     return report
 
 

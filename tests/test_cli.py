@@ -179,6 +179,30 @@ def test_extremal_ultraspherical_below_d_3_is_not_applicable(q, c, n, capsys):
     assert json.loads(capsys.readouterr().out) == report
 
 
+@pytest.mark.parametrize("n", [8, 10, 14, 16])
+def test_extremal_type_iv_identity_off_n_3m_plus_3_is_not_applicable(n, capsys):
+    # the identity equates polynomials of degrees 2(2g + 1) and 2m, so it is
+    # stated for n = 3m + 3 only; the zeros still lie on |T| = 1/2
+    args = ["--q", "4", "--c", "2", "--n", str(n), "--ultraspherical"]
+    assert run(["--json", "extremal", *args]) == 0
+    ultra = json.loads(capsys.readouterr().out)["ultraspherical"]
+    assert n != 3 * ultra["m"] + 3
+    assert ultra["holds"] is None
+    assert ultra["not_applicable"] == "needs n = 3m + 3"
+    assert ultra["lambda"] == "0/1"
+    assert ultra["on_critical_circle"] is True
+
+
+@pytest.mark.parametrize("n", [6, 12, 18])
+def test_extremal_type_iv_identity_holds_at_n_3m_plus_3(n, capsys):
+    args = ["--q", "4", "--c", "2", "--n", str(n), "--ultraspherical"]
+    assert run(["--json", "extremal", *args]) == 0
+    ultra = json.loads(capsys.readouterr().out)["ultraspherical"]
+    assert n == 3 * ultra["m"] + 3
+    assert ultra["holds"] is True
+    assert "not_applicable" not in ultra
+
+
 @pytest.mark.parametrize("q,c,n", [(2, 4, 24), (3, 3, 12)])
 def test_extremal_critical_circle_radius_comes_from_q(q, c, n, capsys):
     # the Golay enumerators: every zero lies on |T| = q^(-1/2); the identity
@@ -395,13 +419,10 @@ def _fails(report):
 
 
 # `extremal` exits 1 at these n <= 54, by type and --ultraspherical, and 0 at
-# every other valid n. Type I's exits come from negative extremal coefficients.
-# Type IV's identity holds only at n = 3m + 3 (m = d - 3), so at n = 2, 4 mod 6
-# its ultraspherical runs read `holds: false`.
+# every other valid n. These exits come from negative extremal coefficients.
 EXTREMAL_EXIT_1 = {
     ("I", False): [32, 40, 42, 48, 50, 52],
     ("I", True): [32, 40, 42, 48, 50, 52],
-    ("IV", True): [8, 10, 14, 16, 20, 22, 26, 28, 32, 34, 38, 40, 44, 46, 50, 52],
 }
 
 
