@@ -105,10 +105,10 @@ class UniPoly:
             return Fraction(0)
         x = Fraction(x)
         a, b = x.numerator, x.denominator
-        D = lcm(*(c.denominator for c in cs))
+        nums, D = _over_lcm(cs)
         acc, power = 0, 1  # power = b^(deg-i) at c_i
-        for c in reversed(cs):
-            acc = acc * a + c.numerator * (D // c.denominator) * power
+        for c in reversed(nums):
+            acc = acc * a + c * power
             power *= b
         return Fraction(acc, D * power // b)
 
@@ -261,6 +261,13 @@ class RatFun:
         return f"RatFun({self.num!r}, {self.den!r})"
 
 
+def _over_lcm(values):
+    """(N, L): the integers N_i and the lcm L of the denominators of
+    `values` (ints or Fractions), with value_i = N_i / L."""
+    L = lcm(*(v.denominator for v in values))
+    return [v.numerator * (L // v.denominator) for v in values], L
+
+
 def ratfun_equal(f, g):
     """True iff f.num * g.den == g.num * f.den as polynomials."""
     return f.num * g.den == g.num * f.den
@@ -284,10 +291,8 @@ def interpolate(points):
         raise ZeroDivisionError("interpolation nodes must be distinct")
     if not xs:
         return UniPoly()
-    L = lcm(*(x.denominator for x in xs))
-    D = lcm(*(y.denominator for y in ys))
-    u = [x.numerator * (L // x.denominator) for x in xs]
-    col = [y.numerator * (D // y.denominator) for y in ys]
+    u, L = _over_lcm(xs)
+    col, D = _over_lcm(ys)
     lead = [col[0]]  # numerators of f[u_0..u_k]
     scale = [1]  # Q_k
     for k in range(1, len(u)):

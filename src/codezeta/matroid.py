@@ -15,7 +15,7 @@ from itertools import combinations, islice
 from math import comb
 
 from .code import CapacityError, contains_code, subset_ranks
-from .exactmath import BiPoly, RatFun
+from .exactmath import BiPoly, RatFun, _over_lcm
 
 
 @dataclass(frozen=True)
@@ -71,10 +71,19 @@ def greene_weight_enumerator(W, q):
 
 
 def check_greene(A, W):
-    """Compare A(x,y) with the Greene substitution of W_G, exactly."""
-    predicted = greene_weight_enumerator(W, A.q)
-    actual = BiPoly({(A.n - i, i): c for i, c in enumerate(A.counts)})
-    return predicted == actual
+    """Compare A(x,y) with the Greene substitution of W_G, exactly.
+
+    Both sides run on integers: W_G's coefficients over the lcm L of their
+    denominators, the counts A_i over theirs, D, and each side is scaled by
+    the other's denominator. Every predicted monomial has degree n, so it is
+    one of the x^(n-i) y^i that the counts cover."""
+    n = A.n
+    if W.n != n:
+        raise ValueError("distribution and rank-generating lengths differ")
+    coeffs, L = _over_lcm(W.W.terms.values())
+    predicted = _greene_terms(dict(zip(W.W.terms, coeffs)), A.q, n, W.k, -1)
+    counts, D = _over_lcm(A.counts)
+    return all(predicted.get((n - i, i), 0) * D == c * L for i, c in enumerate(counts))
 
 
 def _greene_terms(terms, q, n, k, sign):
@@ -106,17 +115,22 @@ def check_greene_normalized(A, Wn):
 
     Each W_n monomial x^a y^b contributes q^a t^(a-b+n-k) (1+t)^(k+b-a), a
     polynomial of degree n in t; both sides are compared as their n + 1
-    lowest coefficients.
+    lowest coefficients. They run on integers: the left on a_w = N_w / D
+    (`NormalizedEnumerator.scaled`), the right on W_n over the lcm L of its
+    coefficient denominators, and the m-th coefficients compare as
+    lhs_m L == rhs_m D.
     """
     n, k, q = Wn.n, Wn.k, A.q
     if n != A.n:
         raise ValueError("distribution and rank-generating lengths differ")
-    an = A.normalized.a_list
-    lhs = [sum(an[i] * comb(n + 1, m - i) for i in range(m + 1)) for m in range(n + 1)]
-    rhs = [Fraction(0)] * (n + 1)
-    for (_, t_exp), c in _greene_terms(Wn.Wn.terms, q, n, k, 1).items():
+    N, D = A.normalized.scaled
+    binoms = [comb(n + 1, j) for j in range(n + 2)]
+    lhs = [sum(N[i] * binoms[m - i] for i in range(m + 1)) for m in range(n + 1)]
+    coeffs, L = _over_lcm(Wn.Wn.terms.values())
+    rhs = [0] * (n + 1)
+    for (_, t_exp), c in _greene_terms(dict(zip(Wn.Wn.terms, coeffs)), q, n, k, 1).items():
         rhs[t_exp] += c
-    return lhs == rhs
+    return all(l * L == r * D for l, r in zip(lhs, rhs))
 
 
 def greene_normalized_symmetric(A, Wn):

@@ -5,11 +5,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, zip_longest
 from math import comb, lcm
 from operator import mul
 
-from .exactmath import BiPoly, RatFun, UniPoly
+from .exactmath import BiPoly, RatFun, UniPoly, _over_lcm
 
 
 class CrossCheckError(RuntimeError):
@@ -180,12 +180,39 @@ def two_var_zeta(Wn_plus, k, n, g):
 
 
 def check_two_var_compat(Z, P):
-    """True iff Z(T, q) equals P(T)/((1-T)(1-qT)) by cross-multiplication."""
+    """True iff Z(T, q) equals P(T)/((1-T)(1-qT)) by cross-multiplication.
+
+    It runs on integers: Z's numerator at u = q over the lcm Ln of its
+    coefficient denominators, Z's denominator over Ld and P(T) over Lp, and
+    num(T)(1-T)(1-qT) Ld Lp is compared with den(T) P(T) Ln."""
     q = P.q
-    num_t = Z.value.num.subs_second(q)
-    den_t = Z.value.den.subs_second(q)
-    one_var_den = UniPoly([1, -1]) * UniPoly([1, -q])
-    return num_t * one_var_den == den_t * P.P
+    num, Ln = _at_u(Z.value.num, q)
+    den, Ld = _at_u(Z.value.den, q)
+    p, Lp = _over_lcm(P.P.coeffs)
+    lhs = _times(num, (1, -1 - q, q))  # (1 - T)(1 - qT)
+    rhs = _times(den, p)
+    return all(l * Ld * Lp == r * Ln for l, r in zip_longest(lhs, rhs, fillvalue=0))
+
+
+def _at_u(poly, u):
+    """(coeffs, L): the (T, u) polynomial at the integer u, its T^i
+    coefficient coeffs[i] / L, with L the lcm of its coefficient
+    denominators."""
+    scaled, L = _over_lcm(poly.terms.values())
+    out = [0] * (max((t for t, _ in poly.terms), default=-1) + 1)
+    for (t, e), c in zip(poly.terms, scaled):
+        out[t] += c * u**e
+    return out, L
+
+
+def _times(a, b):
+    """The product of two integer coefficient lists."""
+    out = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
 
 
 def two_var_functional_eq(Wn_plus):

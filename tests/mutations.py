@@ -88,6 +88,27 @@ MUTATIONS = {
         "elif False:",
         ["tests/test_cli.py::test_extremal_exit_codes_up_to_n_54"],
     ),
+    "normalized Greene with its two scales swapped": (
+        "src/codezeta/matroid.py",
+        "return all(l * L == r * D for l, r in zip(lhs, rhs))",
+        "return all(l * D == r * L for l, r in zip(lhs, rhs))",
+        ["tests/test_matroid.py::test_greene_normalized_corpus",
+         "tests/test_matroid.py::test_greene_checks_match_the_fraction_routes_and_can_fail"],
+    ),
+    "Z(T, q) compared with (1 - T)^2 for (1 - T)(1 - qT)": (
+        "src/codezeta/zeta.py",
+        "lhs = _times(num, (1, -1 - q, q))",
+        "lhs = _times(num, (1, -2, 1))",
+        ["tests/test_zeta.py::test_two_var_compat_corpus",
+         "tests/test_zeta.py::test_two_var_compat_holds_when_d_dual_is_at_least_2"],
+    ),
+    "Z(T, u) read at u = 1 for u = q": (
+        "src/codezeta/zeta.py",
+        "out[t] += c * u**e",
+        "out[t] += c",
+        ["tests/test_zeta.py::test_two_var_compat_corpus",
+         "tests/test_zeta.py::test_two_var_compat_holds_when_d_dual_is_at_least_2"],
+    ),
 }
 
 

@@ -3,16 +3,18 @@ the subset-rank DFS and point ranks, the table-driven row reduction, the
 dimension-first classification, the Gleason-basis extremal synthesis, the
 closed-form zeta and ultraspherical constructions, the Gegenbauer
 polynomials (by a grid count of their sign changes), the Newton
-interpolation, the two-variable zeta and self-relation and the Clifford
-decomposition of `codezeta` are tested against, among them routes that
-`codezeta` used before: the column walk of the point ranks, the prefix
-loop of the message bitsets in characteristic 2, the full Krawtchouk table
-and the Krawtchouk recurrence of the MacWilliams transform, the field
-products as polynomial products, the one-variable layer on `Fraction`s
-(the normalized enumerator, the functional equation with Fraction powers
-of q, the g/h values and their evaluations), Z(T,u) by substitution and
-synthetic division by (u - 1), the flipped and cross-multiplied Z(T,u) and
-the null-space subcodes."""
+interpolation, the two-variable zeta and self-relation, the Greene checks,
+the comparison of Z(T, q) with P(T) and the Clifford decomposition of
+`codezeta` are tested against, among them routes that `codezeta` used
+before: the column walk of the point ranks, the prefix loop of the message
+bitsets in characteristic 2, the full Krawtchouk table and the Krawtchouk
+recurrence of the MacWilliams transform, the field products as polynomial
+products, the one-variable layer on `Fraction`s (the normalized
+enumerator, the functional equation with Fraction powers of q, the g/h
+values and their evaluations), the two Greene checks and the Z(T, q)
+comparison on `Fraction`s, Z(T,u) by substitution and synthetic division
+by (u - 1), the flipped and cross-multiplied Z(T,u) and the null-space
+subcodes."""
 
 import itertools
 import math
@@ -495,6 +497,34 @@ def greene_weight_enumerator(W, q):
     return out
 
 
+def check_greene(A, W):
+    """A(x,y) against the Greene substitution of W_G, both as Fraction
+    BiPolys, the substitution by `greene_weight_enumerator` above."""
+    predicted = greene_weight_enumerator(W, A.q)
+    actual = BiPoly({(A.n - i, i): c for i, c in enumerate(A.counts)})
+    return predicted == actual
+
+
+def check_greene_normalized(A, Wn):
+    """The normalized Greene congruence on Fractions: A_n(1,t)(1+t)^(n+1),
+    from the a_w of `normalized_fractions`, against the sum over the W_n
+    monomials c x^a y^b of c q^a t^(a-b+n-k) (1+t)^(k+b-a), each multiplied
+    out as a UniPoly; the two compared mod t^(n+1)."""
+    n, k, q = Wn.n, Wn.k, A.q
+    if n != A.n:
+        raise ValueError("distribution and rank-generating lengths differ")
+    a_list, _ = normalized_fractions(q, n, A.counts)
+    one_plus_t = UniPoly([1, 1])
+    lhs = UniPoly(a_list) * one_plus_t ** (n + 1)
+    rhs = UniPoly()
+    for (a, b), c in Wn.Wn.terms.items():
+        shift, power = a - b + n - k, k + b - a
+        if shift < 0 or power < 0:
+            raise ValueError("rank-generating exponent out of range")
+        rhs = rhs + UniPoly([0] * shift + [c * q**a]) * one_plus_t**power
+    return lhs.truncate(n) == rhs.truncate(n)
+
+
 def solve_self_dual(q, c, n, d, kraw):
     """Impose A_0 = 1, divisibility-by-c support, minimum distance d, and
     MacWilliams self-invariance with k = n/2 as a rational linear system;
@@ -656,6 +686,16 @@ def two_var_functional_eq(Z):
     else:
         den = den * BiPoly.monomial(2 - 2 * g, 1 - g)
     return ratfun_equal(Z.value, RatFun(num, den))
+
+
+def check_two_var_compat(Z, P):
+    """Z(T, q) against P(T)/((1-T)(1-qT)): Z's numerator and denominator
+    evaluated at u = q as Fraction UniPolys, then cross-multiplied."""
+    q = P.q
+    num_t = Z.value.num.subs_second(q)
+    den_t = Z.value.den.subs_second(q)
+    one_var_den = UniPoly([1, -1]) * UniPoly([1, -q])
+    return num_t * one_var_den == den_t * P.P
 
 
 def support_subcode(C, inside):

@@ -10,13 +10,23 @@ from codezeta.gf import SUPPORTED_Q, field_new
 
 @st.composite
 def codes(draw, fields=SUPPORTED_Q, max_n=8, max_words=1 << 12, halves=False,
-          zero_columns=True):
+          zero_columns=True, isodual=False):
     """A full-rank generator over one of `fields`, possibly with zero columns:
     an identity on random pivot columns, random entries elsewhere, then mixed
     by random row operations so that it is not systematic. `halves` asks
-    for n = 2k; `zero_columns=False` for none, that is, d_dual >= 2."""
+    for n = 2k; `zero_columns=False` for none, that is, d_dual >= 2.
+    `isodual` asks for C = [I | A] with A a symmetric k x k matrix, its rows
+    mixed the same way: C-perp = [-A | I] maps onto C by swapping the two
+    halves and scaling the last k columns by -1."""
     q = draw(st.sampled_from(fields))
     field = field_new(q)
+    if isodual:
+        k = draw(st.integers(1, max_n // 2))
+        symbol = st.integers(0, q - 1)
+        upper = {(i, j): draw(symbol) for i in range(k) for j in range(i, k)}
+        rows = [[int(i == j) for j in range(k)]
+                + [upper[min(i, j), max(i, j)] for j in range(k)] for i in range(k)]
+        return _mixed(draw, field, rows)
     if halves:
         k = draw(st.integers(1, max_n // 2))
         n = 2 * k
@@ -40,12 +50,19 @@ def codes(draw, fields=SUPPORTED_Q, max_n=8, max_words=1 << 12, halves=False,
         for j in range(n):
             if not any(row[j] for row in rows):
                 rows[0][j] = 1
+    return _mixed(draw, field, rows)
+
+
+def _mixed(draw, field, rows):
+    """The code of `rows` (k x n, full rank), its rows first mixed by up to
+    2k random row operations."""
+    k, q = len(rows), field.q
     for _ in range(draw(st.integers(0, 2 * k))):
         i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
         c = draw(st.integers(1, q - 1))
         if i != j:
             rows[i] = [field.add(a, field.mul(c, b)) for a, b in zip(rows[i], rows[j])]
-    return LinearCode(field=field, n=n, k=k, generator=tuple(map(tuple, rows)))
+    return LinearCode(field=field, n=len(rows[0]), k=k, generator=tuple(map(tuple, rows)))
 
 
 @st.composite

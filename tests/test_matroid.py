@@ -1,7 +1,10 @@
-from itertools import combinations
+from fractions import Fraction
+from itertools import combinations, product
+from math import comb
+from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import reference
@@ -14,17 +17,22 @@ from codezeta.code import (
     weight_distribution,
 )
 from codezeta.enumerator import puncture_avg, shorten_avg
-from codezeta.exactmath import ratfun_equal
-from codezeta.gf import field_new
+from codezeta.exactmath import BiPoly, ratfun_equal
+from codezeta.gf import SUPPORTED_Q, field_new
 from codezeta.matroid import (
+    CLIFFORD_CLASSES,
+    NormalizedRankGen,
+    RankGenPoly,
     _decomposition_report,
     check_greene,
     check_greene_normalized,
+    classify,
     clifford_check,
     dual_relation,
     find_two_disjoint_bases,
     greene_normalized_symmetric,
     greene_weight_enumerator,
+    normalized_rank_gen,
     puncture_shorten_wn,
     rank_gen_poly,
     wn_plus,
@@ -59,6 +67,55 @@ def test_greene_corpus(corpus):
 def test_greene_normalized_corpus(corpus):
     for entry in corpus[:20]:
         assert check_greene_normalized(entry.wd, entry.Wn)
+
+
+def test_check_greene_rejects_mismatched_lengths(hamming74, ext_hamming84):
+    wd = weight_distribution(hamming74)
+    for check, W in ((check_greene, rank_gen_poly(ext_hamming84)),
+                     (check_greene_normalized, normalized_rank_gen(ext_hamming84))):
+        with pytest.raises(ValueError, match="lengths differ"):
+            check(wd, W)
+
+
+def _raised(poly, key, amount):
+    """The same rank-generating polynomial with one term raised."""
+    terms = dict(poly.terms)
+    terms[key] += amount
+    return BiPoly(terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(codes(max_n=8), st.sampled_from([None, "puncture", "shorten"]), st.integers(0, 99))
+@example(make_code(5, [[1, 2, 3, 4]]), None, 0)  # k = 1
+@example(make_code(2, [[1, 0, 1, 1], [0, 1, 1, 1]]), "shorten", 3)  # d = d_dual = 2
+@example(make_code(3, [[1, 0, 0, 2], [0, 1, 0, 1]]), "puncture", 1)  # zero column
+@example(make_code(7, [[1, 0, 3], [0, 1, 0], [0, 0, 1]]), None, 2)  # k = n
+def test_greene_checks_match_the_fraction_routes_and_can_fail(C, op, index):
+    """Both Greene checks on integers against their Fraction references in
+    `reference`: on the code's own W and W_n, or on W_n after the averaged
+    puncture or shortening with the matching averaged distribution, both
+    routes read True; with one W_n term raised by 1/C(n, size), and the
+    same W term by 1, both read False."""
+    A, W, Wn = C.weights, rank_gen_poly(C), normalized_rank_gen(C)
+    if op == "puncture" and A.d >= 2 and A.n >= 2:
+        A, W, Wn = puncture_avg(A), None, puncture_shorten_wn(Wn, "puncture")
+    elif op == "shorten" and A.d_dual >= 2 and A.n >= 2:
+        A, W, Wn = shorten_avg(A), None, puncture_shorten_wn(Wn, "shorten")
+    assume(A.d <= A.n)
+    keys = sorted(Wn.Wn.terms)
+    key = keys[index % len(keys)]
+    a, b = key
+    size = b + Wn.k - a  # |A| of the subsets that x^a y^b counts
+    bad_Wn = NormalizedRankGen(
+        Wn=_raised(Wn.Wn, key, Fraction(1, comb(Wn.n, size))), n=Wn.n, k=Wn.k
+    )
+    assert check_greene_normalized(A, Wn) is reference.check_greene_normalized(A, Wn) is True
+    assert check_greene_normalized(A, bad_Wn) is False
+    assert reference.check_greene_normalized(A, bad_Wn) is False
+    if W is not None:
+        bad_W = RankGenPoly(W=_raised(W.W, key, 1), n=W.n, k=W.k)
+        assert check_greene(A, W) is reference.check_greene(A, W) is True
+        assert check_greene(A, bad_W) is reference.check_greene(A, bad_W) is False
 
 
 def test_greene_extension_field(hamming74):
@@ -250,3 +307,61 @@ def test_decomposition_matches_the_null_space_route(C, bits):
     assert list(entry) == [
         "subset", "dim_on_subset", "dim_on_complement", "dim_formula", "ok"
     ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(codes(max_n=8, isodual=True))
+def test_isodual_codes_are_formally_self_dual(C):
+    assert C.weights.counts == C.weights.dual_counts
+    assert classify(C) in ("self-dual", "formally-self-dual")
+
+
+def test_no_isodual_4_2_code_with_d_at_least_2_violates_clifford():
+    """Over every symmetric 2 x 2 A in each field, C = [I | A]: a violation
+    at n = 4 needs a zero column or three parallel columns, and either
+    forces a word of weight 1."""
+    for q in SUPPORTED_Q:
+        checked = 0
+        for a, b, c in product(range(q), repeat=3):
+            C = make_code(q, [[1, 0, a, b], [0, 1, b, c]])
+            if C.weights.d < 2:
+                continue
+            report = clifford_check(C)
+            assert report["classification"] in CLIFFORD_CLASSES, (q, a, b, c)
+            assert report["ok"] and not report["violations"], (q, a, b, c)
+            checked += 1
+        assert checked, q
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+SELF_DUAL = {
+    name: parse_code((FIXTURES / f"{name}.code").read_text())
+    for name in ("rep2", "pair22", "ext_hamming84", "golay3_126")
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(SELF_DUAL)), st.data())
+def test_duals_of_subcodes_of_a_self_dual_code_are_clifford(name, data):
+    """C = D-perp for D a random subcode of a self-dual S: D <= S = S-perp
+    gives C = D-perp >= S >= D = C-perp, so C contains its dual and no
+    column set A has 2 r(A) < |A|."""
+    S = SELF_DUAL[name]
+    assert classify(S) == "self-dual"
+    field = S.field
+    symbol = st.integers(0, S.q - 1)
+    messages = data.draw(st.lists(st.lists(symbol, min_size=S.k, max_size=S.k),
+                                  min_size=1, max_size=S.k))
+    words = []
+    for m in messages:
+        word = [0] * S.n
+        for mi, row in zip(m, S.generator):
+            word = [field.add(w, field.mul(mi, g)) for w, g in zip(word, row)]
+        words.append(word)
+    rank, rows, _ = rref_rank(field, words)
+    assume(rank >= 1)
+    D = LinearCode(field=field, n=S.n, k=rank, generator=tuple(map(tuple, rows[:rank])))
+    C = dual_code(D)
+    report = clifford_check(C)
+    assert report["classification"] in ("self-dual", "contains-dual")
+    assert report["ok"] and not report["violations"]

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -245,16 +246,24 @@ def test_self_relation_fails_for_unequal_genera():
     assert not two_var_functional_eq(an.Wn_plus)
 
 
-@settings(max_examples=100, deadline=None)
-@given(codes(max_n=8, zero_columns=False))
-@example(make_code(5, [[1, 2, 3, 4]]))  # k = 1, d = n
-@example(make_code(3, [[1, 0, 1], [0, 1, 0]]))  # d = 1
-def test_two_var_compat_holds_when_d_dual_is_at_least_2(C):
-    # P(T) is the zeta polynomial for d_dual >= 2, whatever d is
+@settings(max_examples=150, deadline=None)
+@given(codes(max_n=8, zero_columns=False), st.integers(0, 99), st.integers(1, 3))
+@example(make_code(5, [[1, 2, 3, 4]]), 0, 1)  # k = 1, d = n
+@example(make_code(3, [[1, 0, 1], [0, 1, 0]]), 1, 2)  # d = 1
+@example(make_code(7, [[1, 0, 3], [0, 1, 0], [0, 0, 1]]), 2, 3)  # k = n
+def test_two_var_compat_holds_when_d_dual_is_at_least_2(C, index, step):
+    """P(T) is the zeta polynomial for d_dual >= 2, whatever d is, so Z(T, q)
+    equals P(T)/((1-T)(1-qT)), on integers and on Fractions
+    (`reference.check_two_var_compat`). Both routes read False once one
+    coefficient of P(T), or that of T^(deg P + 1), is raised by step/3."""
     an = CodeAnalysis(C)
     assert an.wd.d_dual >= 2
     Z = two_var_zeta(an.Wn_plus, C.k, C.n, an.P.g)
-    assert check_two_var_compat(Z, an.P)
+    assert check_two_var_compat(Z, an.P) is reference.check_two_var_compat(Z, an.P) is True
+    coeffs = list(an.P.P.coeffs) + [Fraction(0)]
+    coeffs[index % len(coeffs)] += Fraction(step, 3)
+    bad = dataclasses.replace(an.P, P=UniPoly(coeffs))
+    assert check_two_var_compat(Z, bad) is reference.check_two_var_compat(Z, bad) is False
 
 
 def test_two_var_compat_corpus(corpus):
