@@ -84,7 +84,7 @@ def cmd_zeta(an, args):
     C, wd, P, P1 = an.code, an.wd, an.P, an.P_def1
     nondegenerate = wd.d >= 2 and wd.d_dual >= 2
     functional = zeta_mod.check_functional_eq(P, an.P_dual) if nondegenerate else None
-    abound = zeta_mod.a_coefficient_bound(P, an.norm.a_list)
+    abound = zeta_mod.a_coefficient_bound(P, an.norm)
     report = {
         "P": _uni(P.P),
         "P_def1": _uni(P1.P),

@@ -11,10 +11,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, islice
 from math import comb
 
-from .code import CapacityError, contains_code, subset_ranks
+from .code import CapacityError, WeightDistribution, contains_code, subset_ranks
 from .exactmath import BiPoly, RatFun, _over_lcm
 
 
@@ -30,6 +31,14 @@ class NormalizedRankGen:
     Wn: BiPoly  # same sum with each size-i layer divided by C(n, i)
     n: int
     k: int
+
+    @cached_property
+    def scaled(self):
+        """({(a, b): N}, L): W_n's coefficients as integers N over the lcm L
+        of their denominators, W_n = N / L, read off `Wn` alone."""
+        terms = self.Wn.terms
+        N, L = _over_lcm(terms.values())
+        return dict(zip(terms, N)), L
 
 
 def rank_gen_poly(C):
@@ -47,17 +56,29 @@ def normalized_rank_gen(C):
     return NormalizedRankGen(Wn=BiPoly(counts), n=C.n, k=C.k)
 
 
+# the denominator (1 - x)(1 - y) of every W_n^+
+_WN_PLUS_DEN = BiPoly({(0, 0): 1, (1, 0): -1, (0, 1): -1, (1, 1): 1})
+
+
 def wn_plus(Wn):
-    """W_n^+(x,y) = W_n + x^(k+1)/(1-x) + y^(n-k+1)/(1-y), over ((1-x)(1-y))."""
+    """W_n^+(x,y) = W_n + x^(k+1)/(1-x) + y^(n-k+1)/(1-y), over ((1-x)(1-y)).
+
+    The numerator runs on integers: with W_n = N / L (`Wn.scaled`), L times
+    it is N (1-x)(1-y) + L x^(k+1) (1-y) + L y^(n-k+1) (1-x), and each
+    nonzero term becomes one Fraction over L."""
     k, n = Wn.k, Wn.n
-    one_minus_x = BiPoly({(0, 0): 1, (1, 0): -1})
-    one_minus_y = BiPoly({(0, 0): 1, (0, 1): -1})
-    num = (
-        Wn.Wn * one_minus_x * one_minus_y
-        + BiPoly.monomial(k + 1, 0) * one_minus_y
-        + BiPoly.monomial(0, n - k + 1) * one_minus_x
-    )
-    return RatFun(num, one_minus_x * one_minus_y)
+    N, L = Wn.scaled
+    num = {}
+    for (a, b), c in N.items():
+        for key, sign in (((a, b), 1), ((a + 1, b), -1), ((a, b + 1), -1),
+                          ((a + 1, b + 1), 1)):
+            num[key] = num.get(key, 0) + sign * c
+    tails = (((k + 1, 0), L), ((k + 1, 1), -L),  # x^(k+1) (1-y)
+             ((0, n - k + 1), L), ((1, n - k + 1), -L))  # y^(n-k+1) (1-x)
+    for key, c in tails:
+        num[key] = num.get(key, 0) + c
+    return RatFun(BiPoly({key: Fraction(c, L) for key, c in num.items() if c}),
+                  _WN_PLUS_DEN)
 
 
 def greene_weight_enumerator(W, q):
@@ -78,12 +99,21 @@ def check_greene(A, W):
     the other's denominator. Every predicted monomial has degree n, so it is
     one of the x^(n-i) y^i that the counts cover."""
     n = A.n
-    if W.n != n:
-        raise ValueError("distribution and rank-generating lengths differ")
+    _check_shapes(A, W)
     coeffs, L = _over_lcm(W.W.terms.values())
     predicted = _greene_terms(dict(zip(W.W.terms, coeffs)), A.q, n, W.k, -1)
     counts, D = _over_lcm(A.counts)
     return all(predicted.get((n - i, i), 0) * D == c * L for i, c in enumerate(counts))
+
+
+def _check_shapes(A, W):
+    """ValueError unless A and W have one length n, and, where A is a code's
+    weight distribution, one dimension k. An averaged distribution carries
+    no k."""
+    if A.n != W.n:
+        raise ValueError("distribution and rank-generating lengths differ")
+    if isinstance(A, WeightDistribution) and A.k != W.k:
+        raise ValueError("distribution and rank-generating dimensions differ")
 
 
 def _greene_terms(terms, q, n, k, sign):
@@ -116,19 +146,18 @@ def check_greene_normalized(A, Wn):
     Each W_n monomial x^a y^b contributes q^a t^(a-b+n-k) (1+t)^(k+b-a), a
     polynomial of degree n in t; both sides are compared as their n + 1
     lowest coefficients. They run on integers: the left on a_w = N_w / D
-    (`NormalizedEnumerator.scaled`), the right on W_n over the lcm L of its
-    coefficient denominators, and the m-th coefficients compare as
+    (`NormalizedEnumerator.scaled`), the right on W_n = M / L
+    (`NormalizedRankGen.scaled`), and the m-th coefficients compare as
     lhs_m L == rhs_m D.
     """
     n, k, q = Wn.n, Wn.k, A.q
-    if n != A.n:
-        raise ValueError("distribution and rank-generating lengths differ")
+    _check_shapes(A, Wn)
     N, D = A.normalized.scaled
     binoms = [comb(n + 1, j) for j in range(n + 2)]
     lhs = [sum(N[i] * binoms[m - i] for i in range(m + 1)) for m in range(n + 1)]
-    coeffs, L = _over_lcm(Wn.Wn.terms.values())
+    M, L = Wn.scaled
     rhs = [0] * (n + 1)
-    for (_, t_exp), c in _greene_terms(dict(zip(Wn.Wn.terms, coeffs)), q, n, k, 1).items():
+    for (_, t_exp), c in _greene_terms(M, q, n, k, 1).items():
         rhs[t_exp] += c
     return all(l * L == r * D for l, r in zip(lhs, rhs))
 

@@ -127,11 +127,13 @@ def check_functional_eq(Pc, Pd):
     return True
 
 
-def a_coefficient_bound(P, a_list):
+def a_coefficient_bound(P, norm):
     """Extract a = p_1/p_0 from P = (a_d/(q-1))(1 + aT + ...), verify the
     relation a_d(a - d + q) = a_{d+1}, and report the bound d+1 <= q+1+a.
 
-    The bound follows from the relation and a_{d+1} >= 0. When d = n the
+    `norm` is the code's `NormalizedEnumerator`; the relation is read on its
+    integers a_w = N_w / L (`norm.scaled`) as N_d (a - d + q) = N_(d+1). The
+    bound follows from the relation and a_{d+1} >= 0. When d = n the
     relation names a weight no word can have, so `relation_holds` and
     `bound_holds` are None and their `_not_applicable` keys say why."""
     p0 = P.P.coeff(0)
@@ -142,7 +144,8 @@ def a_coefficient_bound(P, a_list):
     bound = q + 1 + a
     report = {"a": a, "relation_holds": None, "bound": bound, "bound_holds": None}
     if d < n:
-        report["relation_holds"] = Fraction(a_list[d]) * (a - d + q) == a_list[d + 1]
+        N, _ = norm.scaled
+        report["relation_holds"] = N[d] * (a - d + q) == N[d + 1]
         report["bound_holds"] = Fraction(d + 1) <= bound
     else:
         report["relation_not_applicable"] = report["bound_not_applicable"] = "d = n"
@@ -157,7 +160,9 @@ def two_var_zeta(Wn_plus, k, n, g):
     constants c left over cancel at every power of T, since each normalized
     size layer of W_n sums to 1; a leftover flags a broken W_n^+. T^(g-1)
     then multiplies the quotient when g >= 1, T^(1-g) the denominator when
-    g < 1.
+    g < 1. The numerator is read once as integers over the lcm L of its
+    coefficient denominators; the leftovers and the quotient are summed on
+    those integers, and each quotient term becomes one Fraction over L.
     """
     s = n - k + 1
     num_shift, den_shift = (g - 1, 0) if g >= 1 else (0, 1 - g)
@@ -167,16 +172,21 @@ def two_var_zeta(Wn_plus, k, n, g):
             raise StructuralError("insufficient T power to clear the y tail")
         return s + i - j
 
+    terms = Wn_plus.num.terms
+    coeffs, L = _over_lcm(terms.values())
     leftover = {}
-    quotient = []
-    for (i, j), c in Wn_plus.num.terms.items():
+    quotient = {}
+    for (i, j), c in zip(terms, coeffs):
         t = t_power(i, j)
         leftover[t] = leftover.get(t, 0) + c
-        quotient += [((t + num_shift, e), c) for e in range(i)]
+        for e in range(i):
+            key = (t + num_shift, e)
+            quotient[key] = quotient.get(key, 0) + c
     if any(leftover.values()):
         raise StructuralError("numerator is not divisible by (u - 1)")
+    num = BiPoly({key: Fraction(c, L) for key, c in quotient.items() if c})
     den = [((t_power(i, j) + den_shift, i), c) for (i, j), c in Wn_plus.den.terms.items()]
-    return TwoVarZeta(value=RatFun(BiPoly(quotient), BiPoly(den)), g=g)
+    return TwoVarZeta(value=RatFun(num, BiPoly(den)), g=g)
 
 
 def check_two_var_compat(Z, P):

@@ -109,6 +109,33 @@ MUTATIONS = {
         ["tests/test_zeta.py::test_two_var_compat_corpus",
          "tests/test_zeta.py::test_two_var_compat_holds_when_d_dual_is_at_least_2"],
     ),
+    "W_n^+ with the (1 - x) of its y tail dropped": (
+        "src/codezeta/matroid.py",
+        "((0, n - k + 1), L), ((1, n - k + 1), -L))",
+        "((0, n - k + 1), L))",
+        ["tests/test_zeta.py::test_integer_wn_plus_and_two_var_zeta_match_the_reference_routes",
+         "tests/test_golden.py"],
+    ),
+    "Z(T, u) quotient over u^0 .. u^i for u^0 .. u^(i-1)": (
+        "src/codezeta/zeta.py",
+        "for e in range(i):",
+        "for e in range(i + 1):",
+        ["tests/test_zeta.py::test_integer_wn_plus_and_two_var_zeta_match_the_reference_routes",
+         "tests/test_zeta.py::test_two_var_zeta_matches_the_reference"],
+    ),
+    "a-bound relation N_d (a - d + q + 1) for N_d (a - d + q)": (
+        "src/codezeta/zeta.py",
+        "N[d] * (a - d + q) == N[d + 1]",
+        "N[d] * (a - d + q + 1) == N[d + 1]",
+        ["tests/test_zeta.py::test_a_bound_corpus",
+         "tests/test_zeta.py::test_a_bound_relation_on_integers_matches_the_fraction_a_list"],
+    ),
+    "Greene checks accept a code's weights against its dual's W": (
+        "src/codezeta/matroid.py",
+        "if isinstance(A, WeightDistribution) and A.k != W.k:",
+        "if False:",
+        ["tests/test_matroid.py::test_check_greene_rejects_mismatched_lengths"],
+    ),
 }
 
 

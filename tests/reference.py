@@ -1,20 +1,21 @@
 """Plain reference implementations that the kernels, the shared formulas,
 the subset-rank DFS and point ranks, the table-driven row reduction, the
-dimension-first classification, the Gleason-basis extremal synthesis, the
-closed-form zeta and ultraspherical constructions, the Gegenbauer
+dimension-first classification, the Gleason-basis extremal synthesis,
+the closed-form zeta and ultraspherical constructions, the Gegenbauer
 polynomials (by a grid count of their sign changes), the Newton
-interpolation, the two-variable zeta and self-relation, the Greene checks,
-the comparison of Z(T, q) with P(T) and the Clifford decomposition of
-`codezeta` are tested against, among them routes that `codezeta` used
-before: the column walk of the point ranks, the prefix loop of the message
-bitsets in characteristic 2, the full Krawtchouk table and the Krawtchouk
-recurrence of the MacWilliams transform, the field products as polynomial
-products, the one-variable layer on `Fraction`s (the normalized
-enumerator, the functional equation with Fraction powers of q, the g/h
-values and their evaluations), the two Greene checks and the Z(T, q)
-comparison on `Fraction`s, Z(T,u) by substitution and synthetic division
-by (u - 1), the flipped and cross-multiplied Z(T,u) and the null-space
-subcodes."""
+interpolation, W_n^+, the two-variable zeta and self-relation, the
+Greene checks, the comparison of Z(T, q) with P(T) and the Clifford
+decomposition of `codezeta` are tested against, among them routes that
+`codezeta` used before: the column walk of the point ranks, the prefix
+loop of the message bitsets in characteristic 2, the full Krawtchouk
+table and the Krawtchouk recurrence of the MacWilliams transform, the
+field products as polynomial products, the one-variable layer on
+`Fraction`s (the normalized enumerator, the functional equation with
+Fraction powers of q, the g/h values and their evaluations), the two
+Greene checks and the Z(T, q) comparison on `Fraction`s, W_n^+ as a
+product of `Fraction` BiPolys, Z(T,u) by substitution and synthetic
+division by (u - 1), the flipped and cross-multiplied Z(T,u) and the
+null-space subcodes."""
 
 import itertools
 import math
@@ -612,6 +613,20 @@ def nullspace(field, matrix):
                 v[p] = field.neg(rref[r][j])
             basis.append(tuple(v))
     return basis
+
+
+def wn_plus(Wn):
+    """W_n^+ as the RatFun W_n (1-x)(1-y) + x^(k+1) (1-y) + y^(n-k+1) (1-x)
+    over (1-x)(1-y), multiplied out as Fraction BiPolys."""
+    k, n = Wn.k, Wn.n
+    one_minus_x = BiPoly({(0, 0): 1, (1, 0): -1})
+    one_minus_y = BiPoly({(0, 0): 1, (0, 1): -1})
+    num = (
+        Wn.Wn * one_minus_x * one_minus_y
+        + BiPoly.monomial(k + 1, 0) * one_minus_y
+        + BiPoly.monomial(0, n - k + 1) * one_minus_x
+    )
+    return RatFun(num, one_minus_x * one_minus_y)
 
 
 def _divide_by_u_minus_1(terms):

@@ -115,7 +115,7 @@ def test_criterion_03_definition_equivalence_suite(corpus):
         assert P.P.degree == wd.n + 2 - wd.d - wd.d_dual
         assert P.P(1) == 1
         assert check_functional_eq(P, entry.P_dual)
-        report = a_coefficient_bound(P, entry.norm.a_list)
+        report = a_coefficient_bound(P, entry.norm)
         assert report["relation_holds"]
     elapsed = time.monotonic() - start
     assert elapsed < 120.0

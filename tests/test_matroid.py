@@ -70,11 +70,15 @@ def test_greene_normalized_corpus(corpus):
 
 
 def test_check_greene_rejects_mismatched_lengths(hamming74, ext_hamming84):
+    """Hamming [7,4]'s weights against the W and W_n of the [8,4] extended
+    code (another n) and of its [7,3] dual (another k)."""
     wd = weight_distribution(hamming74)
-    for check, W in ((check_greene, rank_gen_poly(ext_hamming84)),
-                     (check_greene_normalized, normalized_rank_gen(ext_hamming84))):
-        with pytest.raises(ValueError, match="lengths differ"):
-            check(wd, W)
+    for other, match in ((ext_hamming84, "lengths differ"),
+                         (dual_code(hamming74), "dimensions differ")):
+        for check, W in ((check_greene, rank_gen_poly(other)),
+                         (check_greene_normalized, normalized_rank_gen(other))):
+            with pytest.raises(ValueError, match=match):
+                check(wd, W)
 
 
 def _raised(poly, key, amount):

@@ -1,6 +1,7 @@
 import dataclasses
 import random
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -19,8 +20,8 @@ from codezeta.code import (
     parse_code,
     weight_distribution,
 )
-from codezeta.enumerator import normalize
-from codezeta.exactmath import BiPoly, RatFun, UniPoly
+from codezeta.enumerator import normalize, normalize_counts
+from codezeta.exactmath import BiPoly, RatFun, UniPoly, ratfun_equal
 from codezeta.extremal import extremal_sd_enumerator
 from codezeta.gf import field_new
 from codezeta.zeta import (
@@ -158,7 +159,7 @@ def test_functional_eq_corpus(corpus):
 
 def test_a_bound_hamming(hamming74):
     P, wd = _zeta_of(hamming74)
-    report = a_coefficient_bound(P, normalize(wd).a_list)
+    report = a_coefficient_bound(P, normalize(wd))
     assert report["a"] == 2
     assert report["relation_holds"]
     assert report["bound"] == 5 and report["bound_holds"]
@@ -166,7 +167,7 @@ def test_a_bound_hamming(hamming74):
 
 def test_a_bound_corpus(corpus):
     for entry in corpus:
-        report = a_coefficient_bound(entry.P, entry.norm.a_list)
+        report = a_coefficient_bound(entry.P, entry.norm)
         assert report["relation_holds"]
         assert report["bound_holds"]
 
@@ -179,17 +180,41 @@ def test_a_bound_not_applicable_at_d_equals_n(q, n):
     C = make_code(q, [[1] * n])
     P, wd = _zeta_of(C)
     assert wd.d == C.n
-    report = a_coefficient_bound(P, normalize(wd).a_list)
+    report = a_coefficient_bound(P, normalize(wd))
     assert report["relation_holds"] is None
     assert report["relation_not_applicable"] == "d = n"
     assert report["bound_holds"] is None
     assert report["bound_not_applicable"] == "d = n"
 
 
+@settings(max_examples=150, deadline=None)
+@given(distributions(), st.integers(-2, 2))
+def test_a_bound_relation_on_integers_matches_the_fraction_a_list(A, step):
+    """The relation N_d (a - d + q) == N_(d+1), read on `scaled`, against
+    a_d (a - d + q) == a_(d+1) on the Fraction a_w of
+    `reference.normalized_fractions`, for integer and averaged counts. The
+    relation is an identity of P(T) built from a(t), so it holds exactly
+    when p_1 is left as it is (step = 0) and fails when it is moved by
+    step/2."""
+    a = normalize(A)
+    P = zeta_from_normalized(a, k=0, d_dual=1)
+    coeffs = list(P.P.coeffs) + [Fraction(0)] * 2
+    coeffs[1] += Fraction(step, 2)
+    P = dataclasses.replace(P, P=UniPoly(coeffs))
+    report = a_coefficient_bound(P, a)
+    d, q = P.d, P.q
+    if d == P.n:
+        assert report["relation_holds"] is None
+        return
+    a_list = reference.normalized_fractions(q, A.n, A.counts)[0]
+    expected = a_list[d] * (report["a"] - d + q) == a_list[d + 1]
+    assert report["relation_holds"] is expected is (step == 0)
+
+
 def test_a_bound_rejects_zero_constant():
     P = ZetaPolynomial(P=UniPoly([0, 1]), q=2, n=4, k=2, d=2, d_dual=2)
     with pytest.raises(StructuralError):
-        a_coefficient_bound(P, [Fraction(0)] * 5)
+        a_coefficient_bound(P, normalize_counts(2, 4, (1, 0, 2, 0, 1)))
 
 
 def test_two_var_zeta_divides_by_u_minus_1():
@@ -216,6 +241,43 @@ def test_two_var_zeta_matches_the_reference(C):
     ref = reference.two_var_zeta(an.Wn_plus, C.k, C.n, an.P.g)
     assert Z.value.num.terms == ref.num.terms
     assert Z.value.den.terms == ref.den.terms
+
+
+@settings(max_examples=200, deadline=None)
+@given(codes(max_n=7), st.sampled_from([None, "puncture", "shorten"]),
+       st.integers(-2, 3), st.integers(0, 99))
+@example(make_code(2, [[1, 0, 1, 1], [0, 1, 1, 1]]), "shorten", 1, 3)  # d = d_dual = 2
+@example(make_code(3, [[1, 0, 0, 2], [0, 1, 0, 1]]), "puncture", 0, 0)  # zero column
+@example(make_code(4, [[1, 2, 3]]), "puncture", -1, 1)  # k = 1
+@example(make_code(5, [[1, 2, 3, 4]]), None, 2, 4)  # k = 1, d = n
+@example(make_code(7, [[1, 0, 3], [0, 1, 0], [0, 0, 1]]), None, 1, 2)  # k = n
+@example(make_code(8, [[1, 5], [0, 1]]), "shorten", 0, 1)  # k = n
+@example(make_code(9, [[1, 0, 5, 7], [0, 1, 2, 8]]), "puncture", 3, 5)  # 2k = n, MDS
+def test_integer_wn_plus_and_two_var_zeta_match_the_reference_routes(C, op, g, index):
+    """W_n^+ and Z(T, u) on integers against the Fraction BiPoly product and
+    the substitution route of `reference`, term for term and under
+    `ratfun_equal`: on a code's own W_n, or on W_n after the averaged
+    puncture (d >= 2) or shortening (d_dual >= 2), at any genus g. With one
+    W_n term raised by 1/C(n, size), both routes raise StructuralError."""
+    A, Wn = C.weights, matroid.normalized_rank_gen(C)
+    if op == "puncture" and A.d >= 2 or op == "shorten" and A.d_dual >= 2:
+        Wn = matroid.puncture_shorten_wn(Wn, op)
+    k, n = Wn.k, Wn.n
+    plus, ref_plus = matroid.wn_plus(Wn), reference.wn_plus(Wn)
+    assert ratfun_equal(plus, ref_plus)
+    assert (plus.num, plus.den) == (ref_plus.num, ref_plus.den)
+    Z, ref_Z = two_var_zeta(plus, k, n, g), reference.two_var_zeta(ref_plus, k, n, g)
+    assert ratfun_equal(Z.value, ref_Z)
+    assert (Z.value.num, Z.value.den) == (ref_Z.num, ref_Z.den)
+    keys = sorted(Wn.Wn.terms)
+    key = keys[index % len(keys)]
+    terms = dict(Wn.Wn.terms)
+    terms[key] += Fraction(1, comb(n, key[1] + k - key[0]))  # size = b + k - a
+    bad = matroid.NormalizedRankGen(Wn=BiPoly(terms), n=n, k=k)
+    with pytest.raises(StructuralError):
+        two_var_zeta(matroid.wn_plus(bad), k, n, g)
+    with pytest.raises(StructuralError):
+        reference.two_var_zeta(reference.wn_plus(bad), k, n, g)
 
 
 def test_two_var_zeta_hamming(hamming74):
