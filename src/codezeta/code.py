@@ -8,33 +8,37 @@ the invariants that the reports give are derived from these three. Each
 is built by calling `dual_code`, `weight_distribution` or
 `subset_rank_table` through this module's globals, so a caller who
 replaces one of them (to count or time it) sees every call. It also keeps
-its reduced echelon form (`_echelon`), the zero sets of the smaller of it
-and its dual (`_zero_sets`, None past 2^16 bits) and the tables its point
-ranks are read from (`_zero_set_chunks`), and a `WeightDistribution` keeps
-its normalized form (`normalized`). The full space, k = n, is an ordinary
-code: its dual is the [n, 0] zero code.
+its reduced echelon form (`_echelon`), the value sets over all its rows
+(`_value_sets`), the zero sets of the smaller of it and its dual
+(`_zero_sets`, None past 2^16 bits) and the tables its point ranks are read
+from (`_zero_set_chunks`), and a `WeightDistribution` keeps its normalized
+form (`normalized`). The full space, k = n, is an ordinary code: its dual
+is the [n, 0] zero code.
 
 Both exponential layers read one representation: for each column, the
 bitsets of the messages at which it takes each field value
-(`_value_sets`). It has three readers: codeword enumeration, the bitset
-route of the subset table, and point ranks (`subset_ranks`), which read
-intersections of its zero sets per chunk of columns; past the zero sets,
-in every field, the point ranks are read off the reduced echelon rows. In
-characteristic 2 the sets are cut from parity patterns. For odd q they are
-grown row by row for the columns whose first nonzero entry is 1, which the
-other columns relabel, and at the last row only for the values a reader
-asks for. Enumeration walks one offset per projective point, counted q - 1
-times, since a nonzero multiple of a word has its weight."""
+(`_value_sets`), built once per code. It has three readers: codeword
+enumeration (when its block takes every row; a narrower block builds its
+own sets), the bitset route of the subset table, and point ranks
+(`subset_ranks`); the last two read its zero sets, the table by
+intersecting them over a block of columns and counting each block's
+popcounts by subset size, the point ranks per chunk of columns. Past the
+zero sets, in every field, the point ranks are read off the reduced
+echelon rows. In characteristic 2 the sets are cut from parity patterns.
+For odd q they are grown row by row for the columns whose first nonzero
+entry is 1, which the other columns relabel, and at the last row only for
+the values a reader asks for. Enumeration walks one offset per projective
+point, counted q - 1 times, since a nonzero multiple of a word has its
+weight."""
 
 from __future__ import annotations
 
 import math
 import operator
 from array import array
-from collections import Counter
 from dataclasses import dataclass, field as dataclass_field
-from functools import cached_property, partial
-from itertools import compress, repeat
+from functools import cache, cached_property, partial
+from itertools import accumulate, chain, compress, pairwise, repeat
 
 from .gf import FieldSpec, field_new
 
@@ -71,6 +75,12 @@ class LinearCode:
     def _echelon(self):
         # (rank, reduced echelon rows, pivot columns) of the generator
         return rref_rank(self.field, self.generator)
+
+    @cached_property
+    def _value_sets(self):
+        # the value sets over all k rows, shared by enumeration (when its
+        # block takes every row) and the zero sets
+        return _value_sets(self.field, self.generator, self.n)
 
     @cached_property
     def _zero_sets(self):
@@ -363,7 +373,7 @@ def _enumerate_counts(C):
     t = 0
     while t < k and C.q ** (t + 1) <= _TABLE_WORDS:
         t += 1
-    by_value = _value_sets(C.field, C.generator[:t], n)
+    by_value = C._value_sets if t == k else _value_sets(C.field, C.generator[:t], n)
     full = (1 << C.q**t) - 1
     counts = [0] * (n + 1)
     for h, multiplicity in _offsets(C.field, C.generator[t:], n):
@@ -598,8 +608,33 @@ def subset_rank_table(C):
 
 def _zero_sets(D):
     """For each column of D, the bitset of D's messages whose word is 0
-    there (`_value_sets`)."""
-    return [by_value[0] for by_value in _value_sets(D.field, D.generator, D.n)]
+    there, read off D's value sets (`LinearCode._value_sets`)."""
+    return [by_value[0] for by_value in D._value_sets]
+
+
+@cache
+def _block_layout(t):
+    """The 2^t subsets of a block of t >= 1 columns, listed as the table
+    lists them: by doubling, each column's takers before its leavers, so in
+    DFS order. Returns their masks (over columns 0 .. t - 1) and sizes, the
+    positions grouped by size (each group in DFS order) with the (start,
+    stop) of each group, an itemgetter that reads a per-subset list in that
+    grouped order, and one that reads a list indexed by size at each
+    subset. The groups double with the block: a subset of size s that takes
+    the new column is a group s - 1 subset, one that leaves it a group s
+    subset shifted past the takers. It depends on t alone, so it is built
+    once per process."""
+    masks, groups = [0], [[0]]
+    for j in reversed(range(t)):
+        shift = repeat(len(masks))
+        masks = list(map(operator.or_, masks, repeat(1 << j))) + masks
+        groups = [taken + list(map(operator.add, left, shift))
+                  for taken, left in zip([[]] + groups, groups + [[]])]
+    sizes = list(map(int.bit_count, masks))
+    index = list(chain.from_iterable(groups))
+    bounds = list(pairwise(accumulate(map(len, groups), initial=0)))
+    return (masks, sizes, index, bounds,
+            operator.itemgetter(*index), operator.itemgetter(*sizes))
 
 
 def _bitset_table(C):
@@ -611,24 +646,43 @@ def _bitset_table(C):
     DFS that keeps one intersection per level, and each of its leaves ANDs
     its intersection into the listed block, so at most 2^t + O(n) sets are
     live. Taking column j intersects Z_j on C's side; on the dual's side,
-    leaving it out does."""
-    n, k = C.n, C.k
+    leaving it out does.
+
+    Each leaf reads its block once. One `int.bit_count` per subset gives the
+    number of vanishing words, always a power q^e; the block's layout
+    (`_block_layout`) regroups these counts by subset size, and each size
+    group is tallied with `tuple.count` over the powers it can hold, from
+    that of the generic rank min(|A|, k) up, until the group is used up. A
+    key new to the table is placed by the first position at which it
+    occurs, so the keys keep their first-seen DFS order.
+
+    2 r(A) <= |A| exactly when e >= ceil(|A| / 2) on the dual's side
+    (r = |A| - e) and e >= k - floor(|A| / 2) on C's side (r = k - e). So
+    the low list is one `map(operator.ge, ...)` of the counts against
+    per-subset thresholds, which depend on the leaf only through its number
+    of columns taken."""
+    n, k, q = C.n, C.k, C.q
     on_dual = 2 * k > n
     m = n - k if on_dual else k
     zeros = C._zero_sets
-    words = C.q**m
-    exponent = {C.q**e: e for e in range(m + 1)}
-    t = n
-    while t and max(words, 1 << 8) << t > _BLOCK_BITS:
+    words = q**m
+    powers = [q**e for e in range(m + 1)]
+    exponent = {v: e for e, v in enumerate(powers)}
+    t = n  # at least 1, so that the layout's itemgetters read tuples
+    while t > 1 and max(words, 1 << 8) << t > _BLOCK_BITS:
         t -= 1
     top = n - t
+    block_masks, sizes, index, bounds, by_group, by_size = _block_layout(t)
+    masks = list(map(operator.lshift, block_masks, repeat(top))) if top else block_masks
     full = (1 << words) - 1
-    sets, masks = [full], [0]
+    sets = [full]
     for j in reversed(range(top, n)):
         cut = list(map(operator.and_, sets, repeat(zeros[j])))
         sets = sets + cut if on_dual else cut + sets
-        masks = list(map(operator.or_, masks, repeat(1 << j))) + masks
-    sizes = list(map(int.bit_count, masks))
+    # q^e for the least e at which a subset of each size is low
+    least = [q ** ((total + 1) // 2 if on_dual else max(k - total // 2, 0))
+             for total in range(n + 1)]
+    thresholds = [by_size(least[size:]) for size in range(top + 1)]
     counts = {}
     low_masks = array("Q")
     low_ranks = array("B")
@@ -643,17 +697,31 @@ def _bitset_table(C):
             continue
         meets = map(operator.and_, sets, repeat(meet)) if top else sets
         vanishing = list(map(int.bit_count, meets))
-        low = {}
-        for (bsize, nwords), c in Counter(zip(sizes, vanishing)).items():
-            total = size + bsize
-            rank = (total if on_dual else k) - exponent[nwords]
-            counts[total, rank] = counts.get((total, rank), 0) + c
-            if 2 * rank <= total:
-                low[bsize, nwords] = rank
-        if low:
-            chosen = list(map(low.__contains__, zip(sizes, vanishing)))
+        grouped = by_group(vanishing)
+        new = []
+        for total, (a, b) in enumerate(bounds, size):
+            group, left = grouped[a:b], b - a
+            # r <= min(|A|, k), so e is at least that of the generic rank
+            for e in range(max(total - k, 0) if on_dual else max(k - total, 0), m + 1):
+                c = group.count(powers[e])
+                if c:
+                    key = total, (total if on_dual else k) - e
+                    if key in counts:
+                        counts[key] += c
+                    else:
+                        new.append((index[a + group.index(powers[e])], key, c))
+                    left -= c
+                    if not left:
+                        break
+        for _, key, c in sorted(new):
+            counts[key] = c
+        chosen = list(map(operator.ge, vanishing, thresholds[size]))
+        if True in chosen:
             low_masks.extend(map(operator.or_, compress(masks, chosen), repeat(mask)))
-            low_ranks.extend(map(low.__getitem__, compress(zip(sizes, vanishing), chosen)))
+            dims = map(exponent.__getitem__, compress(vanishing, chosen))
+            bases = (map(operator.add, compress(sizes, chosen), repeat(size)) if on_dual
+                     else repeat(k))
+            low_ranks.extend(map(operator.sub, bases, dims))
     return SubsetRankTable(counts=counts, low_masks=low_masks, low_ranks=low_ranks)
 
 

@@ -42,9 +42,15 @@ MUTATIONS = {
     ),
     "low list takes 2r < |A| for 2r <= |A|": (
         "src/codezeta/code.py",
-        "if 2 * rank <= total:",
-        "if 2 * rank < total:",
+        "q ** ((total + 1) // 2 if on_dual else max(k - total // 2, 0))",
+        "q ** (total // 2 + 1 if on_dual else max(k - (total - 1) // 2, 0))",
         ["tests/test_golden.py"],
+    ),
+    "a size group of the subset table counted one subset short": (
+        "src/codezeta/code.py",
+        "group, left = grouped[a:b], b - a",
+        "group, left = grouped[a:b - 1], b - a",
+        ["tests/test_kernels.py::test_subset_dfs_matches_reference"],
     ),
     "Clifford violation 2r <= |A| for 2r < |A|": (
         "src/codezeta/matroid.py",

@@ -211,6 +211,21 @@ def test_one_zero_set_build_per_report(monkeypatch, path):
     assert counts == {"_zero_sets": int(bitsets and not refused)}
 
 
+@pytest.mark.parametrize("path", FIXTURES, ids=lambda p: p.stem)
+def test_one_value_set_build_per_report(monkeypatch, path):
+    # enumeration and the zero sets read the same value sets of the smaller
+    # side when its q^m messages fit in one enumeration block; past that
+    # block, enumeration builds its own sets over the block's rows
+    C = parse_code(path.read_text())
+    counts = _count_calls(monkeypatch, ("_value_sets",))
+    refused = _refused(C, 1)
+    _run_json(["report", str(path)], refused=refused)
+    words = C.q ** min(C.k, C.n - C.k)
+    zero_sets = words <= code_mod._ZERO_SET_BITS and not refused
+    shared = words <= code_mod._TABLE_WORDS
+    assert counts == {"_value_sets": 1 if shared else 1 + zero_sets}
+
+
 def _within_zero_sets(path):
     C = parse_code(path.read_text())
     return C.q ** min(C.k, C.n - C.k) <= code_mod._ZERO_SET_BITS

@@ -244,11 +244,13 @@ def test_subset_dfs_matches_reference(C):
 @pytest.mark.parametrize("q,n,k", [(2, 20, 10), (4, 16, 8)])
 def test_subset_table_memory_is_bounded(q, n, k):
     # 2^n subsets over zero sets of q^k bits (2^16 for q = 4, the widest the
-    # bitset route takes); holding a set per subset would need 128 MB and 8 GB
+    # bitset route takes); holding a set per subset would need 128 MB and 8 GB.
+    # The bound covers a cold build of the block layout, whatever ran before
     rng = random.Random(n)
     C = make_code(q, [
         [int(j == i) if j < k else rng.randrange(q) for j in range(n)] for i in range(k)
     ])
+    code_mod._block_layout.cache_clear()
     tracemalloc.start()
     try:
         table = subset_rank_table(C)
