@@ -82,6 +82,20 @@ MUTATIONS = {
         "return True",
         ["tests/test_golden.py"],
     ),
+    "JSON emitter writes dict keys unsorted": (
+        "src/codezeta/cli.py",
+        "for key in sorted(value)]",
+        "for key in value]",
+        ["tests/test_cli.py::test_json_emitter_matches_json",
+         "tests/test_golden.py"],
+    ),
+    "JSON emitter separates items with \", \"": (
+        "src/codezeta/cli.py",
+        'sep = "," + inner',
+        'sep = ", " + inner',
+        ["tests/test_cli.py::test_json_emitter_matches_json",
+         "tests/test_golden.py"],
+    ),
     "nonnegative is not a check": (
         "src/codezeta/cli.py",
         '"unique", "nonnegative",',

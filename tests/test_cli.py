@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -18,6 +19,7 @@ import codezeta
 from codezeta import cli as cli_mod
 from codezeta import code as code_mod
 from codezeta import extremal as extremal_mod
+from codezeta import matroid as matroid_mod
 from codezeta.bounds import MALLOWS_SLOANE
 from codezeta.cli import FILE_COMMANDS, run
 from codezeta.gf import SUPPORTED_Q
@@ -471,6 +473,52 @@ def test_every_boolean_key_is_a_check_or_a_fact():
     assert booleans <= set(cli_mod.CHECKS) | FACT_KEYS, booleans - FACT_KEYS
 
 
+def _dumps(value):
+    return json.dumps(value, sort_keys=True, indent=2)
+
+
+def test_json_emitter_matches_json_on_every_golden_and_extremal_run():
+    # the extremal runs with --ultraspherical carry the float radii
+    reports = [report for _, report in _all_reports()]
+    radii = [r for report in reports for key, item, _ in _entries(report)
+             if key == "radii" for r in item]
+    assert radii and all(isinstance(r, float) for r in radii)
+    for report in reports:
+        assert cli_mod._json(report) == _dumps(report)
+
+
+_JSON_TEXT = st.text() | st.text(st.sampled_from(
+    ['"', "\\", "/", "\x00", "\x1f", "\x7f", "\n", "\t", "a", "\u00e9", "\u20ac",
+     "\U0001f600", "\ud800"]
+))
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.sampled_from([0, 1, -1]),
+    st.integers(), st.integers(2**64, 2**200), st.integers(-(2**200), -(2**64)),
+    st.floats(), st.sampled_from([-0.0, 0.0, 1e-300, 1e300, 5e-324,
+                                  float("nan"), float("inf"), float("-inf")]),
+    _JSON_TEXT,
+)
+json_values = st.recursive(
+    _JSON_SCALARS,
+    lambda children: st.lists(children) | st.dictionaries(_JSON_TEXT, children),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_values)
+@example({"": [], "a": {}, "b": [{}, [[]]]})
+@example([True, 1, False, 0, None, 1.0, -0.0])
+def test_json_emitter_matches_json(value):
+    assert cli_mod._json(value) == _dumps(value)
+
+
+@pytest.mark.parametrize("value", [{1: "a"}, {"a": {2}}, [b"x"], [0.5j]])
+def test_json_emitter_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        cli_mod._json(value)
+
+
 def test_rankgen_on_a_table_missing_a_subset_exits_1(monkeypatch):
     # W(1, 1) counts every column subset once, so a table short of the empty
     # set breaks the structure of W: check failed, and no report
@@ -550,6 +598,21 @@ def test_sample_count_below_1_exits_2(command, count):
     assert code == 2
     assert out == ""
     assert f"error: argument --sample: must be at least 1, got {count}" in err
+
+
+@pytest.mark.parametrize("command", ["clifford", "report"])
+def test_sample_count_past_the_guard_exits_2_at_once(command):
+    # the sampled check holds every mask and rank at once, so one sample
+    # past the guard is refused, with its estimate, before any is drawn:
+    # drawing them would take seconds
+    count = (1 << matroid_mod.SAMPLE_BITS) + 1
+    start = time.perf_counter()
+    code, out, err = _invoke([command, HAMMING, "--sample", str(count)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: sampling {count} column subsets exceeds the 2^22 "
+                   "guard: about 240 MB and 6 s\n")
 
 
 _NUMBERS = st.one_of(
