@@ -1,13 +1,13 @@
 """Interpolation polynomials on normalized weight differences and the
-divisibility upper bounds, including the Mallows-Sloane specializations."""
+divisibility upper bounds, with the Mallows-Sloane bounds derived from them."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, gcd
 
-from .exactmath import UniPoly, interpolate
+from .exactmath import UniPoly, _over_lcm, interpolate
 
 
 class LemmaCheckError(RuntimeError):
@@ -37,12 +37,6 @@ def _difference_values(a, c):
     return values, L
 
 
-def _integer_form(p):
-    """(N, D): integers N_i and D > 0 with p(t) = sum_i N_i t^i / D."""
-    D = lcm(*(c.denominator for c in p.coeffs))
-    return [c.numerator * (D // c.denominator) for c in p.coeffs], D
-
-
 def _horner(coeffs, w):
     acc = 0
     for c in reversed(coeffs):
@@ -56,7 +50,7 @@ def _fit(values, L, first, use):
     w = first + i whose value it misses (None if it meets them all),
     compared on integers."""
     poly = interpolate([(first + i, Fraction(values[i], L)) for i in range(use + 1)])
-    ints, D = _integer_form(poly)
+    ints, D = _over_lcm(poly.coeffs)
     miss = next(
         (first + i for i in range(use + 1, len(values))
          if _horner(ints, first + i) * L != values[i] * D),
@@ -113,9 +107,7 @@ def h_poly(a, c, d_dual):
         raise ValueError("divisor c must be >= 1")
     n = a.n
     values, L = _difference_values(a, c)  # indexed by w-c
-    bound = n - d_dual
-    if a.q == 2 and a.counts[n] and not any(a.counts[1::2]):
-        bound -= 1
+    bound = n - d_dual - _binary_even_allone(a)
     use = min(bound, n - c)
     h, miss = _fit(values, L, c, use)
     if miss is not None:
@@ -129,26 +121,40 @@ def h_poly(a, c, d_dual):
 
 def divisibility(A):
     """c = gcd of the nonzero-codeword weights."""
-    c = 0
-    for i in range(1, A.n + 1):
-        if A.counts[i]:
-            c = gcd(c, i)
+    c = gcd(*(i for i in range(1, A.n + 1) if A.counts[i]))
     if c == 0:
         raise ValueError("no nonzero weight present")
     return c
 
 
-MALLOWS_SLOANE = {
-    # type: (q, c, modulus m, bound as a function of n)
-    "I": (2, 2, 2, lambda n: 2 * (n // 8) + 2),
-    "II": (2, 4, 8, lambda n: 4 * (n // 24) + 4),
-    "III": (3, 3, 4, lambda n: 3 * (n // 12) + 3),
-    "IV": (4, 2, 2, lambda n: 2 * (n // 6) + 2),
-}
+def _binary_even_allone(A):
+    """Whether the counts A are binary and even and count the all-one word."""
+    return A.q == 2 and A.counts[A.n] != 0 and not any(A.counts[1::2])
+
+
+def _divisibility_rhs(n, c, strong):
+    """n + c(c + s) with s = 1 + strong: the right side of the paper's bound
+    s d + c d_dual <= n + c(c + s), plain or strong (`_binary_even_allone`)."""
+    return n + c * (c + 1 + strong)
+
+
+def _mallows_sloane_bound(name, n):
+    """The divisibility bound at d_dual = d for the self-dual type `name`,
+    with its (q, c): the largest multiple of c with (c + s) d <= n + c(c + s),
+    strong (s = 2) for q = 2, as a binary self-dual code contains the all-one
+    word. A formally self-dual binary even code without it gets the same
+    number: Gleason's bound (MacWilliams & Sloane, Ch. 19)."""
+    q, c, _ = MALLOWS_SLOANE[name]
+    rhs = _divisibility_rhs(n, c, q == 2)
+    return c * (rhs // (rhs - n))  # rhs - n = c(c + s)
+
+
+# type: (q, c, modulus of n)
+MALLOWS_SLOANE = {"I": (2, 2, 2), "II": (2, 4, 8), "III": (3, 3, 4), "IV": (4, 2, 2)}
 
 
 def _self_dual_type(q, c, n):
-    for name, (tq, tc, mod, _) in MALLOWS_SLOANE.items():
+    for name, (tq, tc, mod) in MALLOWS_SLOANE.items():
         if q == tq and c % tc == 0 and n % mod == 0:
             # prefer Type II over Type I when weights are doubly even
             if name == "I" and c % 4 == 0 and n % 8 == 0:
@@ -162,6 +168,7 @@ def check_bounds(A, A_dual):
     q, n, k, d = A.q, A.n, A.k, A.d
     d_dual = A_dual.d
     c = divisibility(A)
+    plain = _divisibility_rhs(n, c, False)
     report = {
         "q": q,
         "n": n,
@@ -171,24 +178,22 @@ def check_bounds(A, A_dual):
         "c": c,
         "singleton_bound": n - k + 1,
         "singleton_holds": d <= n - k + 1,
-        "divisibility_bound": n + c * (c + 1),
+        "divisibility_bound": plain,
         "divisibility_lhs": d + c * d_dual,
-        "divisibility_holds": d + c * d_dual <= n + c * (c + 1),
+        "divisibility_holds": d + c * d_dual <= plain,
     }
-    binary_even_allone = (
-        q == 2 and c % 2 == 0 and A.counts[n] == 1
-    )
-    report["binary_even_allone"] = binary_even_allone
-    if binary_even_allone:
-        report["strong_bound"] = n + c * (c + 2)
+    report["binary_even_allone"] = _binary_even_allone(A)
+    if report["binary_even_allone"]:
+        strong = _divisibility_rhs(n, c, True)
+        report["strong_bound"] = strong
         report["strong_lhs"] = 2 * d + c * d_dual
-        report["strong_holds"] = 2 * d + c * d_dual <= n + c * (c + 2)
+        report["strong_holds"] = 2 * d + c * d_dual <= strong
     formally_self_dual = 2 * k == n and A.counts == A_dual.counts
     report["formally_self_dual"] = formally_self_dual
     if formally_self_dual:
         type_name = _self_dual_type(q, c, n)
         if type_name:
-            bound = MALLOWS_SLOANE[type_name][3](n)
+            bound = _mallows_sloane_bound(type_name, n)
             report["mallows_sloane"] = {
                 "type": type_name,
                 "bound": bound,
@@ -215,7 +220,7 @@ def zero_count_audit(g_or_h, expected_zeros, w_min, w_max):
     """Count integer zeros of the polynomial on [w_min, w_max] and compare
     with a claimed lower bound (the bound may be fractional). The zeros are
     those of its integer numerator, found by Horner's rule on integers."""
-    ints, _ = _integer_form(g_or_h)
+    ints, _ = _over_lcm(g_or_h.coeffs)
     zeros = [w for w in range(w_min, w_max + 1) if _horner(ints, w) == 0]
     bound = Fraction(expected_zeros)
     return {
@@ -228,5 +233,4 @@ def zero_count_audit(g_or_h, expected_zeros, w_min, w_max):
 
 def proof_zero_bound(n, d, c, strong=False):
     """The zero-count lower bound from the divisibility argument."""
-    factor = 2 if strong else 1
-    return Fraction(c - 1, c) * (n - c) + Fraction(factor, c) * (d - 2 * c)
+    return Fraction(c - 1, c) * (n - c) + Fraction(1 + strong, c) * (d - 2 * c)

@@ -165,12 +165,7 @@ def cmd_bounds(an, args):
     audit = bounds_mod.zero_count_audit(
         h, bounds_mod.proof_zero_bound(C.n, wd.d, c), c, C.n
     )
-    report["zero_audit"] = {
-        "zeros": audit["zeros"],
-        "count": audit["count"],
-        "bound": _frac(audit["bound"]),
-        "meets": audit["meets"],
-    }
+    report["zero_audit"] = dict(audit, bound=_frac(audit["bound"]))
     return report
 
 
@@ -225,6 +220,8 @@ def cmd_extremal(args):
 
 def cmd_report(an, args):
     """Every other file command on the same analysis, in table order."""
+    if args.sample is not None:  # refused past its guard before any work
+        matroid_mod._sample_guard(args.sample)
     return {name: fn(an, args) for name, fn in FILE_COMMANDS.items()
             if name != "report"}
 

@@ -49,7 +49,7 @@ class GegenbauerPoly:
 
 
 def _type_for(q, c):
-    for name, (tq, tc, mod, _) in MALLOWS_SLOANE.items():
+    for name, (tq, tc, mod) in MALLOWS_SLOANE.items():
         if (q, c) == (tq, tc):
             return name, mod
     raise ValueError(f"unsupported (q, c) pair ({q}, {c})")
@@ -70,7 +70,7 @@ def _gleason_synthesis(name, n):
     P_0 = f^(n/deg f), P_{j+1} = P_j g / f^l (exact) for j < m = n // deg g.
     Each P_j = z^j + ..., so the a_j of W = sum_j a_j P_j follow by integer
     forward substitution, and d = c(m+1) is the Mallows-Sloane bound."""
-    _, c, mod, _ = MALLOWS_SLOANE[name]
+    _, c, mod = MALLOWS_SLOANE[name]
     f, g, ell = _GLEASON[name]
     f_ell = [1]
     for _ in range(ell):

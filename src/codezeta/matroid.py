@@ -247,6 +247,14 @@ CLIFFORD_CLASSES = ("self-dual", "contains-dual", "formally-self-dual")
 SAMPLE_BITS = 22
 
 
+def _sample_guard(count):
+    if count > 1 << SAMPLE_BITS:
+        raise CapacityError(
+            f"sampling {count} column subsets exceeds the 2^{SAMPLE_BITS} guard: about "
+            f"{count * 60 >> 20} MB and {count * 1.5e-6:.0f} s"
+        )
+
+
 def clifford_check(C, mode="exhaustive", count=1000, seed=0):
     """Check 2 r(A) >= |A| over column subsets A and report the findings.
 
@@ -262,11 +270,8 @@ def clifford_check(C, mode="exhaustive", count=1000, seed=0):
     `ok_not_applicable` says why. More than 2^`SAMPLE_BITS` samples are
     refused before any is drawn.
     """
-    if mode == "sample" and count > 1 << SAMPLE_BITS:
-        raise CapacityError(
-            f"sampling {count} column subsets exceeds the 2^{SAMPLE_BITS} guard: about "
-            f"{count * 60 >> 20} MB and {count * 1.5e-6:.0f} s"
-        )
+    if mode == "sample":
+        _sample_guard(count)
     classification = classify(C)
     if mode == "exhaustive":
         table = C.subset_table

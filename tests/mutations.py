@@ -156,6 +156,18 @@ MUTATIONS = {
         "if False:",
         ["tests/test_matroid.py::test_check_greene_rejects_mismatched_lengths"],
     ),
+    "strong divisibility bound n + c(c + 1) for n + c(c + 2)": (
+        "src/codezeta/bounds.py",
+        "return n + c * (c + 1 + strong)",
+        "return n + c * (c + 1)",
+        ["tests/test_bounds.py::test_mallows_sloane_bound_is_the_classical_formula"],
+    ),
+    "Mallows-Sloane bound strong for q != 2, plain for q = 2": (
+        "src/codezeta/bounds.py",
+        "rhs = _divisibility_rhs(n, c, q == 2)",
+        "rhs = _divisibility_rhs(n, c, q != 2)",
+        ["tests/test_bounds.py::test_mallows_sloane_bound_is_the_classical_formula"],
+    ),
 }
 
 

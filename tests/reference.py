@@ -15,7 +15,7 @@ Fraction powers of q, the g/h values and their evaluations), the two
 Greene checks and the Z(T, q) comparison on `Fraction`s, W_n^+ as a
 product of `Fraction` BiPolys, Z(T,u) by substitution and synthetic
 division by (u - 1), the flipped and cross-multiplied Z(T,u) and the
-null-space subcodes."""
+null-space subcodes, and the classical Mallows-Sloane formulas."""
 
 import itertools
 import math
@@ -26,6 +26,17 @@ from codezeta.code import contains_code, dual_code, weight_distribution
 from codezeta.exactmath import BiPoly, RatFun, UniPoly, ratfun_equal
 from codezeta.extremal import ExtremalEnumerator, gegenbauer
 from codezeta.zeta import StructuralError
+
+
+# The Mallows-Sloane bound on d of each self-dual type, as the classical
+# formulas (Mallows & Sloane, Inform. Control 22, 1973; MacWilliams & Sloane,
+# Ch. 19); `codezeta.bounds` derives them from the divisibility bound.
+MALLOWS_SLOANE_BOUNDS = {
+    "I": lambda n: 2 * (n // 8) + 2,
+    "II": lambda n: 4 * (n // 24) + 4,
+    "III": lambda n: 3 * (n // 12) + 3,
+    "IV": lambda n: 2 * (n // 6) + 2,
+}
 
 
 class InfeasibleError(RuntimeError):
@@ -551,9 +562,9 @@ def extremal_sd_enumerator(q, c, n):
     whose overdetermined Krawtchouk system has a unique solution with
     minimum weight d and integral counts; a consistent but underdetermined
     system at the maximal feasible d is reported as an ambiguity."""
-    bound = next(b for tq, tc, _, b in MALLOWS_SLOANE.values() if (tq, tc) == (q, c))
+    name = next(name for name, (tq, tc, _) in MALLOWS_SLOANE.items() if (tq, tc) == (q, c))
     kraw = [[krawtchouk(q, n, j, i) for i in range(n + 1)] for j in range(n + 1)]
-    d = bound(n)
+    d = MALLOWS_SLOANE_BOUNDS[name](n)
     while d >= c:
         try:
             support, sol, nullity = solve_self_dual(q, c, n, d, kraw)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 import reference
 from codezeta import bounds as bounds_mod
 from codezeta.bounds import (
+    MALLOWS_SLOANE,
     LemmaCheckError,
     check_bounds,
     divisibility,
@@ -112,6 +113,33 @@ def test_check_bounds_selfdual105(selfdual105):
     ms = report["mallows_sloane"]
     assert ms["type"] == "I" and ms["bound"] == 4
     assert ms["holds"] and not ms["extremal"]
+
+
+@pytest.mark.parametrize("name", sorted(MALLOWS_SLOANE))
+def test_mallows_sloane_bound_is_the_classical_formula(name):
+    # the divisibility bound at d_dual = d, strong for the binary types, is
+    # the largest multiple d of c with (c + s) d <= n + c(c + s), and that is
+    # the classical formula at every valid n <= 10^4
+    q, c, mod = MALLOWS_SLOANE[name]
+    strong = q == 2
+    classical = reference.MALLOWS_SLOANE_BOUNDS[name]
+    for n in range(mod, 10**4 + 1, mod):
+        d = bounds_mod._mallows_sloane_bound(name, n)
+        assert d == classical(n), n
+        rhs = bounds_mod._divisibility_rhs(n, c, strong)
+        assert d % c == 0 and (c + 1 + strong) * d <= rhs < (c + 1 + strong) * (d + c), n
+
+
+@pytest.mark.parametrize("name, first", [("I", 6), ("II", 40)])
+def test_the_binary_types_need_the_strong_form(name, first):
+    # the plain form at d_dual = d, (c + 1) d <= n + c(c + 1), gives a larger
+    # bound from n = `first` on: the all-one word is the proof's hypothesis
+    _, c, mod = MALLOWS_SLOANE[name]
+    classical = reference.MALLOWS_SLOANE_BOUNDS[name]
+    misses = [n for n in range(mod, 5001, mod)
+              if c * (bounds_mod._divisibility_rhs(n, c, False) // (c * (c + 1)))
+              != classical(n)]
+    assert misses[0] == first
 
 
 def test_check_bounds_corpus(corpus):

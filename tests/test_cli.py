@@ -429,7 +429,7 @@ def _extremal_runs():
     float radii drift past their 1e-9 tolerance, so a pin there would pin
     that drift."""
     runs = {}
-    for name, (q, c, mod, _) in MALLOWS_SLOANE.items():
+    for name, (q, c, mod) in MALLOWS_SLOANE.items():
         for ultra in (False, True):
             for n in range(mod, 55, mod):
                 argv = ["--json", "extremal", "--q", str(q), "--c", str(c), "--n", str(n)]
@@ -615,6 +615,18 @@ def test_sample_count_past_the_guard_exits_2_at_once(command):
                    "guard: about 240 MB and 6 s\n")
 
 
+def test_report_refuses_a_sample_past_the_guard_before_any_section(tmp_path):
+    # on a code past the subset guard too, report's first refusal is the
+    # sample count's, as clifford's is
+    count = (1 << matroid_mod.SAMPLE_BITS) + 1
+    path = _binary_23_11(tmp_path)
+    for command in ("clifford", "report"):
+        code, out, err = _invoke([command, path, "--sample", str(count)])
+        assert (code, out) == (2, "")
+        assert err == (f"error: sampling {count} column subsets exceeds the 2^22 "
+                       "guard: about 240 MB and 6 s\n")
+
+
 _NUMBERS = st.one_of(
     st.integers(-3, 200).map(str), st.sampled_from(["x", "", "2.5", "1e2", "0x8", "--"])
 )
@@ -627,7 +639,7 @@ def argvs(draw):
     in ten given a number or junk instead; or a list of the parser's own
     words, numbers and code files in any order."""
     if draw(st.booleans()):
-        q, c, mod, _ = draw(st.sampled_from(sorted(MALLOWS_SLOANE.values())))
+        q, c, mod = draw(st.sampled_from(sorted(MALLOWS_SLOANE.values())))
         values = {
             "--q": st.just(str(q)),
             "--c": st.just(str(c)),

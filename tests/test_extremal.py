@@ -4,6 +4,7 @@ from unittest import mock
 import pytest
 
 import reference
+from codezeta import bounds as bounds_mod
 from codezeta import extremal as extremal_mod
 from codezeta.bounds import MALLOWS_SLOANE
 from codezeta.code import CapacityError, WeightDistribution, weight_distribution
@@ -77,7 +78,7 @@ def test_extremal_capacity_guard():
 
 @pytest.mark.parametrize("name", sorted(MALLOWS_SLOANE))
 def test_extremal_matches_the_krawtchouk_reference(name):
-    q, c, mod, _ = MALLOWS_SLOANE[name]
+    q, c, mod = MALLOWS_SLOANE[name]
     for n in range(mod, 49, mod):
         assert extremal_sd_enumerator(q, c, n) == reference.extremal_sd_enumerator(
             q, c, n
@@ -88,7 +89,7 @@ def test_extremal_matches_the_krawtchouk_reference(name):
 def test_gleason_generators_are_self_dual_invariants(name):
     # f and g, made homogeneous of degrees deg f and l * deg f, are fixed by
     # the MacWilliams transform of a self-dual code of that length
-    q, c, mod, _ = MALLOWS_SLOANE[name]
+    q, c, mod = MALLOWS_SLOANE[name]
     f, g, ell = extremal_mod._GLEASON[name]
     for coeffs, deg in ((f, mod), (g, ell * mod)):
         counts = [0] * (deg + 1)
@@ -101,11 +102,21 @@ def test_gleason_generators_are_self_dual_invariants(name):
 def test_mallows_sloane_bound_counts_gleason_basis(name):
     # Gleason: the degree-n invariants have the basis f^i g^j with
     # i deg f + j deg g = n, and the bound is c times its size
-    q, c, deg_f, bound = MALLOWS_SLOANE[name]
+    q, c, deg_f = MALLOWS_SLOANE[name]
     deg_g = extremal_mod._GLEASON[name][2] * deg_f
     for n in range(deg_f, 4001, deg_f):
         basis = [j for j in range(n // deg_g + 1) if (n - j * deg_g) % deg_f == 0]
-        assert bound(n) == c * len(basis), n
+        assert bounds_mod._mallows_sloane_bound(name, n) == c * len(basis), n
+
+
+@pytest.mark.parametrize("name", sorted(MALLOWS_SLOANE))
+def test_gleason_synthesis_reaches_the_divisibility_bound(name):
+    # the synthesis takes its d = c(m + 1) from Gleason's basis on its own;
+    # it must equal the divisibility bound at d_dual = d
+    mod = MALLOWS_SLOANE[name][2]
+    for n in range(mod, 241, mod):
+        d, _ = extremal_mod._gleason_synthesis(name, n)
+        assert d == bounds_mod._mallows_sloane_bound(name, n), n
 
 
 def test_zhang_first_negative_type_II_enumerator():
@@ -157,7 +168,7 @@ def test_ultraspherical_family(m, n, lam):
 @pytest.mark.parametrize("name", sorted(MALLOWS_SLOANE))
 def test_ultraspherical_matches_the_power_reference(name):
     # m = d - 3 is the degree the extremal command checks; d - 2 is a wrong one
-    q, c, mod, _ = MALLOWS_SLOANE[name]
+    q, c, mod = MALLOWS_SLOANE[name]
     for n in range(mod, 97, mod):
         ext = extremal_sd_enumerator(q, c, n)
         if not ext.unique or ext.d < 3:

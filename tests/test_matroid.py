@@ -1,13 +1,15 @@
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
-from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import reference
+from codezeta import zeta
+from codezeta.analysis import CodeAnalysis
+from codezeta.bounds import check_bounds
 from codezeta.code import (
     CapacityError,
     LinearCode,
@@ -337,20 +339,36 @@ def test_no_isodual_4_2_code_with_d_at_least_2_violates_clifford():
         assert checked, q
 
 
-FIXTURES = Path(__file__).parent / "fixtures"
-SELF_DUAL = {
-    name: parse_code((FIXTURES / f"{name}.code").read_text())
-    for name in ("rep2", "pair22", "ext_hamming84", "golay3_126")
-}
+@pytest.mark.parametrize("q", SUPPORTED_Q)
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_random_self_dual_codes_meet_the_papers_positive_results(q, data):
+    """A self-dual code in every field: no Clifford violation and every
+    equality decomposition ok, P = P-perp under the functional equation, the
+    Greene checks and Z(T, q), and the Mallows-Sloane bound wherever a type
+    is assigned (always over GF(2) and GF(3))."""
+    C = data.draw(codes(fields=(q,), self_dual=True, max_n=12))
+    an = CodeAnalysis(C)
+    report = clifford_check(C)
+    assert report["classification"] == "self-dual"
+    assert report["ok"] is True and not report["violations"]
+    assert all(entry["ok"] for entry in report["decompositions"])
+    assert an.wd.d >= 2 and an.wd.d_dual >= 2  # a weight-1 word is not isotropic
+    assert an.P.g == an.P.g_dual and zeta.check_functional_eq(an.P, an.P_dual)
+    assert check_greene(an.wd, an.W) and check_greene_normalized(an.wd, an.Wn)
+    Z = zeta.two_var_zeta(an.Wn_plus, C.k, C.n, an.P.g)
+    assert zeta.check_two_var_compat(Z, an.P)
+    ms = check_bounds(an.wd, an.wd_dual).get("mallows_sloane")
+    assert ms is not None or q not in (2, 3)
+    assert ms is None or ms["holds"]
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(sorted(SELF_DUAL)), st.data())
-def test_duals_of_subcodes_of_a_self_dual_code_are_clifford(name, data):
-    """C = D-perp for D a random subcode of a self-dual S: D <= S = S-perp
-    gives C = D-perp >= S >= D = C-perp, so C contains its dual and no
-    column set A has 2 r(A) < |A|."""
-    S = SELF_DUAL[name]
+@given(codes(self_dual=True, max_n=12), st.data())
+def test_duals_of_subcodes_of_a_self_dual_code_are_clifford(S, data):
+    """C = D-perp for D a random subcode of a self-dual S, drawn in every
+    field: D <= S = S-perp gives C = D-perp >= S >= D = C-perp, so C contains
+    its dual and no column set A has 2 r(A) < |A|."""
     assert classify(S) == "self-dual"
     field = S.field
     symbol = st.integers(0, S.q - 1)

@@ -93,7 +93,7 @@ def _random_distributions():
 def _extremal_distributions():
     """Unique extremal self-dual distributions of every type, n <= 96."""
     out = []
-    for q, c, mod, _ in MALLOWS_SLOANE.values():
+    for q, c, mod in MALLOWS_SLOANE.values():
         for n in range(mod, 97, mod):
             ext = extremal_sd_enumerator(q, c, n)
             if ext.unique:
