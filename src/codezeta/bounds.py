@@ -3,7 +3,6 @@ divisibility upper bounds, with the Mallows-Sloane bounds derived from them."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, gcd
 
@@ -12,15 +11,6 @@ from .exactmath import UniPoly, _over_lcm, interpolate
 
 class LemmaCheckError(RuntimeError):
     """Interpolation data violated a claimed degree or extrapolation."""
-
-
-@dataclass(frozen=True)
-class GwPoly:
-    g: UniPoly  # polynomial in the weight variable w
-    n: int
-    d: int
-    d_dual: int
-    q: int
 
 
 def _difference_values(a, c):
@@ -63,9 +53,8 @@ def g_poly(a, d_dual):
     """Interpolate g(w) through w = 1..n-d_dual+1 and audit the claims:
     the remaining values w = n-d_dual+2..n extrapolate correctly and the
     degree is exactly n-d_dual."""
-    n, d = a.n, a.d
     values, L = _difference_values(a, 1)  # indexed by w-1
-    deg = n - d_dual
+    deg = a.n - d_dual
     g, miss = _fit(values, L, 1, deg)
     if miss is not None:
         raise LemmaCheckError(
@@ -75,7 +64,7 @@ def g_poly(a, d_dual):
         raise LemmaCheckError(
             f"deg g = {g.degree}, expected exactly {deg}"
         )
-    return GwPoly(g=g, n=n, d=d, d_dual=d_dual, q=a.q)
+    return g
 
 
 def g_from_zeta(P):
@@ -93,8 +82,7 @@ def g_from_zeta(P):
             basis = basis * (w - (2 + i))
         basis = basis * Fraction(1, factorial(m))
         result = result + basis * ((-1) ** j * pj)
-    g = result * (q - 1)
-    return GwPoly(g=g, n=P.n, d=d, d_dual=P.d_dual, q=q)
+    return result * (q - 1)
 
 
 def h_poly(a, c, d_dual):

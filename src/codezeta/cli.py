@@ -24,9 +24,8 @@ from . import extremal as extremal_mod
 from . import matroid as matroid_mod
 from . import zeta as zeta_mod
 from .analysis import CodeAnalysis
-from .code import CapacityError, ParseError, parse_code
+from .code import CapacityError, parse_code
 from .exactmath import format_poly
-from .gf import FieldError
 
 # The objects the imports above made live as long as the process, so move
 # them out of every later garbage collection. Otherwise the first
@@ -61,8 +60,8 @@ def _frac(v):
     return f"{v.numerator}/{v.denominator}"
 
 
-def _uni(p, var="T"):
-    return {"coeffs": [_frac(c) for c in p.coeffs], "text": format_poly(p, var)}
+def _uni(p):
+    return {"coeffs": [_frac(c) for c in p.coeffs], "text": format_poly(p, "T")}
 
 
 def _bi(p, vars=("x", "y")):
@@ -261,32 +260,29 @@ _JSON_CONSTANTS = {
 
 
 def _render_human(report, indent=0):
+    """A dict or a list as lines, each entry labelled `key:` in a dict and
+    `-` in a list: a nonempty dict, or a list that holds a dict or a list,
+    goes on the lines below its label, one level deeper; any other value
+    goes on its label's line."""
     pad = "  " * indent
     lines = []
     if isinstance(report, dict):
-        for key in report:
-            value = report[key]
-            if isinstance(value, (dict, list)) and value and not _is_flat(value):
-                lines.append(f"{pad}{key}:")
-                lines.extend(_render_human(value, indent + 1))
-            else:
-                lines.append(f"{pad}{key}: {_flat(value)}")
-    elif isinstance(report, list):
-        for value in report:
-            if isinstance(value, (dict, list)) and value and not _is_flat(value):
-                lines.append(f"{pad}-")
-                lines.extend(_render_human(value, indent + 1))
-            else:
-                lines.append(f"{pad}- {_flat(value)}")
+        entries = ((f"{key}:", value) for key, value in report.items())
     else:
-        lines.append(f"{pad}{_flat(report)}")
+        entries = (("-", value) for value in report)
+    for label, value in entries:
+        if _is_nested(value):
+            lines.append(f"{pad}{label}")
+            lines.extend(_render_human(value, indent + 1))
+        else:
+            lines.append(f"{pad}{label} {_flat(value)}")
     return lines
 
 
-def _is_flat(value):
-    if isinstance(value, list):
-        return all(not isinstance(v, (dict, list)) for v in value)
-    return False
+def _is_nested(value):
+    if isinstance(value, dict):
+        return bool(value)
+    return isinstance(value, list) and any(isinstance(v, (dict, list)) for v in value)
 
 
 def _flat(value):
@@ -354,7 +350,7 @@ def run(argv=None):
             with open(args.file) as fh:
                 C = parse_code(fh.read())
             report = FILE_COMMANDS[args.command](CodeAnalysis(C), args)
-    except (ParseError, CapacityError, FieldError, OSError, ValueError) as exc:
+    except (CapacityError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (zeta_mod.CrossCheckError, zeta_mod.StructuralError,

@@ -42,7 +42,8 @@ from itertools import accumulate, chain, compress, pairwise, repeat
 
 from .gf import FieldSpec, field_new
 
-# Largest number of codewords (or subsets) we are willing to enumerate.
+# The enumeration guards: at most 2^ENUM_BITS codewords, and column subsets
+# of codes of length at most SUBSET_N_MAX.
 ENUM_BITS = 28
 SUBSET_N_MAX = 22
 
@@ -65,11 +66,6 @@ class LinearCode:
     @property
     def q(self):
         return self.field.q
-
-    @cached_property
-    def _columns(self):
-        # column j as a tuple of its k symbols
-        return tuple(zip(*self.generator))
 
     @cached_property
     def _echelon(self):
@@ -579,10 +575,13 @@ def subset_ranks(C, masks, stops=None):
 
 @dataclass(frozen=True)
 class SubsetRankTable:
-    """What one pass over the 2^n column subsets leaves behind."""
+    """What one pass over the 2^n column subsets leaves behind. `counts` is
+    a mapping, read only by key, so a route may fill it in any order;
+    `low_masks` and `low_ranks` are in DFS order, the order in which the
+    Clifford check lists its violations and witnesses."""
 
     counts: dict  # (size, rank) -> number of column subsets
-    low_masks: array  # subsets with 2 r(A) <= |A|, in DFS order
+    low_masks: array  # subsets with 2 r(A) <= |A|
     low_ranks: array  # their ranks
 
 
@@ -617,13 +616,12 @@ def _block_layout(t):
     """The 2^t subsets of a block of t >= 1 columns, listed as the table
     lists them: by doubling, each column's takers before its leavers, so in
     DFS order. Returns their masks (over columns 0 .. t - 1) and sizes, the
-    positions grouped by size (each group in DFS order) with the (start,
-    stop) of each group, an itemgetter that reads a per-subset list in that
-    grouped order, and one that reads a list indexed by size at each
-    subset. The groups double with the block: a subset of size s that takes
-    the new column is a group s - 1 subset, one that leaves it a group s
-    subset shifted past the takers. It depends on t alone, so it is built
-    once per process."""
+    (start, stop) of each size group in the grouped order, an itemgetter
+    that reads a per-subset list grouped by size, and one that reads a list
+    indexed by size at each subset. The groups double with the block: a
+    subset of size s that takes the new column is a group s - 1 subset, one
+    that leaves it a group s subset shifted past the takers. It depends on t
+    alone, so it is built once per process."""
     masks, groups = [0], [[0]]
     for j in reversed(range(t)):
         shift = repeat(len(masks))
@@ -633,8 +631,7 @@ def _block_layout(t):
     sizes = list(map(int.bit_count, masks))
     index = list(chain.from_iterable(groups))
     bounds = list(pairwise(accumulate(map(len, groups), initial=0)))
-    return (masks, sizes, index, bounds,
-            operator.itemgetter(*index), operator.itemgetter(*sizes))
+    return masks, sizes, bounds, operator.itemgetter(*index), operator.itemgetter(*sizes)
 
 
 def _bitset_table(C):
@@ -652,9 +649,8 @@ def _bitset_table(C):
     number of vanishing words, always a power q^e; the block's layout
     (`_block_layout`) regroups these counts by subset size, and each size
     group is tallied with `tuple.count` over the powers it can hold, from
-    that of the generic rank min(|A|, k) up, until the group is used up. A
-    key new to the table is placed by the first position at which it
-    occurs, so the keys keep their first-seen DFS order.
+    that of the generic rank min(|A|, k) up, until the group is used up, and
+    each tally is added to its (size, rank) key.
 
     2 r(A) <= |A| exactly when e >= ceil(|A| / 2) on the dual's side
     (r = |A| - e) and e >= k - floor(|A| / 2) on C's side (r = k - e). So
@@ -672,7 +668,7 @@ def _bitset_table(C):
     while t > 1 and max(words, 1 << 8) << t > _BLOCK_BITS:
         t -= 1
     top = n - t
-    block_masks, sizes, index, bounds, by_group, by_size = _block_layout(t)
+    block_masks, sizes, bounds, by_group, by_size = _block_layout(t)
     masks = list(map(operator.lshift, block_masks, repeat(top))) if top else block_masks
     full = (1 << words) - 1
     sets = [full]
@@ -698,7 +694,6 @@ def _bitset_table(C):
         meets = map(operator.and_, sets, repeat(meet)) if top else sets
         vanishing = list(map(int.bit_count, meets))
         grouped = by_group(vanishing)
-        new = []
         for total, (a, b) in enumerate(bounds, size):
             group, left = grouped[a:b], b - a
             # r <= min(|A|, k), so e is at least that of the generic rank
@@ -706,15 +701,10 @@ def _bitset_table(C):
                 c = group.count(powers[e])
                 if c:
                     key = total, (total if on_dual else k) - e
-                    if key in counts:
-                        counts[key] += c
-                    else:
-                        new.append((index[a + group.index(powers[e])], key, c))
+                    counts[key] = counts.get(key, 0) + c
                     left -= c
                     if not left:
                         break
-        for _, key, c in sorted(new):
-            counts[key] = c
         chosen = list(map(operator.ge, vanishing, thresholds[size]))
         if True in chosen:
             low_masks.extend(map(operator.or_, compress(masks, chosen), repeat(mask)))
@@ -730,7 +720,7 @@ def _dfs_table(C):
     basis, reduced by `_reduce_column`; once the basis holds k vectors no
     column can grow it, so it is reused as it is."""
     n, k = C.n, C.k
-    columns, reduce = C._columns, partial(_reduce_column, C.field)
+    columns, reduce = list(zip(*C.generator)), partial(_reduce_column, C.field)
     counts = {}
     low_masks = array("Q")
     low_ranks = array("B")

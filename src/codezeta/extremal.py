@@ -41,13 +41,6 @@ class ExtremalEnumerator:
     nonnegative: bool
 
 
-@dataclass(frozen=True)
-class GegenbauerPoly:
-    m: int
-    lam: Fraction
-    poly: UniPoly
-
-
 def _type_for(q, c):
     for name, (tq, tc, mod) in MALLOWS_SLOANE.items():
         if (q, c) == (tq, tc):
@@ -99,7 +92,7 @@ def extremal_sd_enumerator(q, c, n):
     fewer leaves a line of solutions: reported as an ambiguity."""
     name, mod = _type_for(q, c)
     if n <= 0 or n % mod:
-        raise ValueError(f"Type {name} requires n divisible by {mod}")
+        raise ValueError(f"Type {name} requires n to be a positive multiple of {mod}")
     if n > EXTREMAL_N_MAX:
         raise CapacityError(f"extremal synthesis guarded at n <= {EXTREMAL_N_MAX}")
     d, counts = _gleason_synthesis(name, n)
@@ -126,7 +119,7 @@ def gegenbauer(m, lam):
             if c:
                 cur[i] -= b * c
         prev2, prev1 = prev1, cur
-    return GegenbauerPoly(m=m, lam=lam, poly=UniPoly(prev1))
+    return UniPoly(prev1)
 
 
 def check_ultraspherical(P, m):
@@ -145,7 +138,7 @@ def check_ultraspherical(P, m):
     )
     # sum_j c_j 2^-j (1+T^2)^j T^(m-j), reading (1+T^2)^j off the binomials
     rhs = [Fraction(0)] * (2 * m + 1)
-    for j, cj in enumerate(gegenbauer(m, m + 1).poly.coeffs):
+    for j, cj in enumerate(gegenbauer(m, m + 1).coeffs):
         if cj:
             cj /= 2**j
             for i in range(j + 1):

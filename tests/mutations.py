@@ -168,6 +168,19 @@ MUTATIONS = {
         "rhs = _divisibility_rhs(n, c, q != 2)",
         ["tests/test_bounds.py::test_mallows_sloane_bound_is_the_classical_formula"],
     ),
+    "human renderer labels a list item like a dict key": (
+        "src/codezeta/cli.py",
+        'entries = (("-", value) for value in report)',
+        'entries = ((f"{key}:", value) for key, value in enumerate(report))',
+        ["tests/test_cli.py::test_human_renderer_matches_the_two_branch_renderer",
+         "tests/test_golden.py"],
+    ),
+    "a size group's tally overwrites its key's count": (
+        "src/codezeta/code.py",
+        "counts[key] = counts.get(key, 0) + c",
+        "counts[key] = c",
+        ["tests/test_kernels.py::test_subset_dfs_matches_reference"],
+    ),
 }
 
 

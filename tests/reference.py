@@ -15,7 +15,8 @@ Fraction powers of q, the g/h values and their evaluations), the two
 Greene checks and the Z(T, q) comparison on `Fraction`s, W_n^+ as a
 product of `Fraction` BiPolys, Z(T,u) by substitution and synthetic
 division by (u - 1), the flipped and cross-multiplied Z(T,u) and the
-null-space subcodes, and the classical Mallows-Sloane formulas."""
+null-space subcodes, the classical Mallows-Sloane formulas and the
+human-readable renderer with a branch each for dicts and lists."""
 
 import itertools
 import math
@@ -232,7 +233,7 @@ def check_ultraspherical(P, m):
         ]
     )
     rhs = UniPoly()
-    for j, cj in enumerate(gegenbauer(m, m + 1).poly.coeffs):
+    for j, cj in enumerate(gegenbauer(m, m + 1).coeffs):
         if cj:
             t_power = UniPoly([0] * (m - j) + [1])
             rhs = rhs + UniPoly([1, 0, 1]) ** j * t_power * (cj * Fraction(1, 2**j))
@@ -244,7 +245,7 @@ def check_ultraspherical(P, m):
 
 def gegenbauer_sign_changes(m, lam, grid_steps=2000):
     """Count sign changes of C_m^lam on a rational grid over (-1, 1)."""
-    poly = gegenbauer(m, lam).poly
+    poly = gegenbauer(m, lam)
     changes = 0
     prev = None
     for i in range(grid_steps + 1):
@@ -768,3 +769,40 @@ def decomposition_report(C, cols, rank):
         "dim_formula": dim_formula,
         "ok": ok,
     }
+
+
+# The human-readable renderer `codezeta.cli._render_human` had before its
+# dict and list branches became one loop, with its two helpers.
+def render_human(report, indent=0):
+    pad = "  " * indent
+    lines = []
+    if isinstance(report, dict):
+        for key in report:
+            value = report[key]
+            if isinstance(value, (dict, list)) and value and not _is_flat(value):
+                lines.append(f"{pad}{key}:")
+                lines.extend(render_human(value, indent + 1))
+            else:
+                lines.append(f"{pad}{key}: {_flat(value)}")
+    elif isinstance(report, list):
+        for value in report:
+            if isinstance(value, (dict, list)) and value and not _is_flat(value):
+                lines.append(f"{pad}-")
+                lines.extend(render_human(value, indent + 1))
+            else:
+                lines.append(f"{pad}- {_flat(value)}")
+    else:
+        lines.append(f"{pad}{_flat(report)}")
+    return lines
+
+
+def _is_flat(value):
+    if isinstance(value, list):
+        return all(not isinstance(v, (dict, list)) for v in value)
+    return False
+
+
+def _flat(value):
+    if isinstance(value, list):
+        return "[" + ", ".join(str(v) for v in value) + "]"
+    return str(value)

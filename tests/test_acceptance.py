@@ -146,15 +146,15 @@ def test_criterion_05_interpolation_lemma(corpus):
     for entry in corpus:
         wd = entry.wd
         a = entry.norm
-        gw = g_poly(a, wd.d_dual)  # audits degree and all prescribed values
-        assert gw.g.degree == wd.n - wd.d_dual
+        g = g_poly(a, wd.d_dual)  # audits degree and all prescribed values
+        assert g.degree == wd.n - wd.d_dual
         for w in range(2, wd.d):
-            assert gw.g(w) == 0
-        expansion = g_from_zeta(entry.P).g
+            assert g(w) == 0
+        expansion = g_from_zeta(entry.P)
         # identity on w >= 2: sampling deg+2 points pins both polynomials
-        points = max(gw.g.degree, expansion.degree) + 2
+        points = max(g.degree, expansion.degree) + 2
         for w in range(2, 2 + points):
-            assert gw.g(w) == expansion(w)
+            assert g(w) == expansion(w)
     _report(5, f"g(w) interpolation and expansion agree on {len(corpus)} codes")
 
 

@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import codezeta
+import reference
 from codezeta import cli as cli_mod
 from codezeta import code as code_mod
 from codezeta import extremal as extremal_mod
@@ -253,6 +254,14 @@ def test_usage_errors(tmp_path, capsys):
     assert run(["clifford", EXT_HAMMING, "--exhaustive", "--sample", "5"]) == 2
     assert run(["nosuchcommand"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("n", ["0", "-2", "3"])
+def test_extremal_length_not_a_positive_multiple_exits_2(n):
+    # 0 and -2 are multiples of 2 too: the refusal names the positive ones
+    code, out, err = _invoke(["extremal", "--q", "2", "--c", "2", "--n", n])
+    assert (code, out) == (2, "")
+    assert err == "error: Type I requires n to be a positive multiple of 2\n"
 
 
 def _run_child(*args):
@@ -517,6 +526,28 @@ def test_json_emitter_matches_json(value):
 def test_json_emitter_refuses_other_types(value):
     with pytest.raises(TypeError):
         cli_mod._json(value)
+
+
+_render_trees = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(st.text(max_size=8), children, max_size=4)),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.text(max_size=8), _render_trees, max_size=5)
+       | st.lists(_render_trees, max_size=5))
+@example({})
+@example([])
+@example({"a": {}, "b": [], "c": [[]], "d": [{}], "e": [1, "x", None, 2.5, True]})
+@example({"violations": [{"columns": [0, 1, 2], "rank": 1}, {"columns": [3], "rank": 0}],
+          "decompositions": [{"ok": True, "subcodes": [[1, 0], [0, 1]]}],
+          "clifford": True, "count": 2, "sampled": None, "radius": 0.5})
+@example([{"k": [{"x": [1, [2]]}]}, [[], [3]], "-", 0])
+def test_human_renderer_matches_the_two_branch_renderer(report):
+    assert cli_mod._render_human(report) == reference.render_human(report)
 
 
 def test_rankgen_on_a_table_missing_a_subset_exits_1(monkeypatch):

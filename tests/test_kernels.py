@@ -237,7 +237,6 @@ def test_subset_dfs_matches_reference(C):
         with mock.patch.object(code_mod, name, value):
             table = subset_rank_table(dataclasses.replace(C))  # its own zero sets
         assert table.counts == counts
-        assert list(table.counts) == list(counts)  # first seen in DFS order
         assert list(zip(table.low_masks, table.low_ranks)) == low
 
 
